@@ -8,6 +8,7 @@
 // which is all the timing model needs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -80,24 +81,39 @@ class Cache {
   bool contains(std::uint64_t address) const;
 
  private:
-  int victim_way(int set) const;
-  void touch(int set, int way);
+  std::size_t victim_way(std::size_t set) const;
+
+  static constexpr std::uint64_t kEmpty = ~0ULL;  ///< tag of an invalid way
+
+  /// A set's latest access: its line and the slot that line occupies.
+  struct LastAccess {
+    std::uint64_t line = kEmpty;  ///< no line: a line number is < 2^63
+    std::size_t slot = 0;
+  };
 
   CacheConfig config_;
-  int sets_;
-  int line_shift_;
   // Hoisted per-access invariants: recomputing these (countr_zero over the
   // set count / associativity) on every reference costs measurably in the
   // trace-replay hot loop.
-  int tag_shift_;    ///< countr_zero(sets_): line -> tag
-  int plru_levels_;  ///< countr_zero(ways): depth of the PLRU tree
+  std::size_t ways_;
+  int line_shift_;
+  int tag_shift_;  ///< countr_zero(sets): line -> tag
+  int way_shift_;  ///< countr_zero(ways): set -> first slot, PLRU tree depth
   std::uint64_t set_mask_;
   // tag per (set, way); kEmpty means invalid. Dirty bits packed separately.
-  static constexpr std::uint64_t kEmpty = ~0ULL;
+  // The valid ways of a set always form a prefix: a fill takes the first
+  // empty way and only flush() empties, all at once.
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint8_t> dirty_;
-  // Tree pseudo-LRU state: (ways-1) bits per set, packed in a byte/word.
+  // Tree pseudo-LRU state: (ways-1) heap-indexed node bits per set. Each
+  // node bit points toward the less recently used side.
   std::vector<std::uint32_t> plru_;
+  // Touching way w clears the node bits on its root-to-leaf path
+  // (plru_keep_[w]) and sets those where the path went left, so the node
+  // points right, away from w (plru_set_[w]).
+  std::vector<std::uint32_t> plru_keep_;
+  std::vector<std::uint32_t> plru_set_;
+  std::vector<LastAccess> last_;  ///< per set
   CacheStats stats_;
 };
 
@@ -105,86 +121,74 @@ class Cache {
 // Hot path, kept in the header so the whole Tracker::access chain
 // (TLB -> L1 -> L2) inlines into the trace loops.
 
-inline int Cache::victim_way(int set) const {
-  // Walk the pseudo-LRU tree: each internal node bit points toward the side
-  // that was least recently used. Nodes are heap-indexed; leaves map to ways.
-  const std::uint32_t bits = plru_[static_cast<std::size_t>(set)];
-  const int ways = config_.ways;
-  int node = 0;
-  while (node < ways - 1) {
-    const int bit = static_cast<int>((bits >> node) & 1U);
-    node = 2 * node + 1 + bit;
-  }
-  return node - (ways - 1);
-}
-
-inline void Cache::touch(int set, int way) {
-  // Flip every node on the root-to-leaf path to point away from `way`.
-  std::uint32_t& bits = plru_[static_cast<std::size_t>(set)];
-  int node = 0;
-  for (int level = plru_levels_ - 1; level >= 0; --level) {
-    const int branch = (way >> level) & 1;
-    if (branch == 0) {
-      bits |= (1U << node);  // accessed left -> victim pointer goes right
-    } else {
-      bits &= ~(1U << node);
-    }
-    node = 2 * node + 1 + branch;
-  }
+inline std::size_t Cache::victim_way(std::size_t set) const {
+  // Walk the pseudo-LRU tree from the root, following each node's bit.
+  const std::uint32_t bits = plru_[set];
+  std::size_t node = 0;
+  for (int level = 0; level < way_shift_; ++level) node = 2 * node + 1 + ((bits >> node) & 1U);
+  return node - (ways_ - 1);
 }
 
 inline AccessResult Cache::access(std::uint64_t address, bool is_write) {
   const std::uint64_t line = address >> line_shift_;
-  const int set = static_cast<int>(line & set_mask_);
+  const auto set = static_cast<std::size_t>(line & set_mask_);
+
+  // Repeat filter: the set's latest access left its line in the MRU way,
+  // and touching the MRU way of a tree-PLRU set again leaves every tree bit
+  // as it is. So a repeat changes only the hit count and the dirty bit --
+  // exactly what the full lookup below would do. The unit-stride streams of
+  // the SpMV kernels take this path on most references.
+  LastAccess& last = last_[set];
+  if (last.line == line) {
+    if (is_write) {
+      dirty_[last.slot] = 1;
+      ++stats_.write_hits;
+    } else {
+      ++stats_.read_hits;
+    }
+    return AccessResult{.hit = true, .evicted_dirty = false};
+  }
+
   const std::uint64_t tag = line >> tag_shift_;
-  const std::size_t base =
-      static_cast<std::size_t>(set) * static_cast<std::size_t>(config_.ways);
+  const std::size_t base = set << way_shift_;
+  const std::uint64_t* const tags = tags_.data() + base;
 
-  for (int w = 0; w < config_.ways; ++w) {
-    if (tags_[base + static_cast<std::size_t>(w)] == tag) {
-      touch(set, w);
-      if (is_write) {
-        dirty_[base + static_cast<std::size_t>(w)] = 1;
-        ++stats_.write_hits;
-      } else {
-        ++stats_.read_hits;
-      }
-      return AccessResult{.hit = true, .evicted_dirty = false};
-    }
-  }
+  // One scan: stop at the line or at the first empty way. Valid ways form a
+  // prefix, so no resident tag lies beyond an empty way.
+  std::size_t way = 0;
+  while (way < ways_ && tags[way] != tag && tags[way] != kEmpty) ++way;
 
-  // Miss: prefer an invalid way, else evict the pseudo-LRU victim.
-  int way = -1;
-  for (int w = 0; w < config_.ways; ++w) {
-    if (tags_[base + static_cast<std::size_t>(w)] == kEmpty) {
-      way = w;
-      break;
+  AccessResult result;
+  if (way < ways_ && tags[way] == tag) {
+    result.hit = true;
+    if (is_write) {
+      dirty_[base + way] = 1;
+      ++stats_.write_hits;
+    } else {
+      ++stats_.read_hits;
     }
-  }
-  bool evicted_dirty = false;
-  std::uint64_t victim_address = 0;
-  if (way < 0) {
-    way = victim_way(set);
-    ++stats_.evictions;
-    if (dirty_[base + static_cast<std::size_t>(way)] != 0) {
-      evicted_dirty = true;
-      ++stats_.dirty_writebacks;
-      const std::uint64_t victim_tag = tags_[base + static_cast<std::size_t>(way)];
-      const std::uint64_t victim_line =
-          (victim_tag << tag_shift_) | static_cast<std::uint64_t>(set);
-      victim_address = victim_line << line_shift_;
-    }
-  }
-  tags_[base + static_cast<std::size_t>(way)] = tag;
-  dirty_[base + static_cast<std::size_t>(way)] = is_write ? 1 : 0;
-  touch(set, way);
-  if (is_write) {
-    ++stats_.write_misses;
   } else {
-    ++stats_.read_misses;
+    if (way == ways_) {
+      way = victim_way(set);
+      ++stats_.evictions;
+      if (dirty_[base + way] != 0) {
+        result.evicted_dirty = true;
+        ++stats_.dirty_writebacks;
+        const std::uint64_t victim_line = (tags[way] << tag_shift_) | set;
+        result.victim_address = victim_line << line_shift_;
+      }
+    }
+    tags_[base + way] = tag;
+    dirty_[base + way] = is_write ? 1 : 0;
+    if (is_write) {
+      ++stats_.write_misses;
+    } else {
+      ++stats_.read_misses;
+    }
   }
-  return AccessResult{
-      .hit = false, .evicted_dirty = evicted_dirty, .victim_address = victim_address};
+  plru_[set] = (plru_[set] & plru_keep_[way]) | plru_set_[way];
+  last = LastAccess{line, base + way};
+  return result;
 }
 
 }  // namespace scc::cache

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -68,6 +69,8 @@ struct TimerOrder {
     return a.seq < b.seq;
   }
 };
+
+using TimerQueue = std::multiset<Timer, TimerOrder>;
 
 }  // namespace
 
@@ -247,13 +250,14 @@ ClusterResult ClusterSimulator::run(const std::vector<serve::Request>& requests,
     std::set<int> tried;     ///< chips this request was ever offered to
     int last_chip = -1;
     int hedge_chip = -1;
+    std::optional<TimerQueue::iterator> hedge_timer;  ///< pending kHedge timer
   };
   std::vector<RequestState> states(requests.size());
 
-  std::multiset<Timer, TimerOrder> timers;
+  TimerQueue timers;
   long next_seq = 0;
   const auto schedule = [&](double seconds, TimerKind kind, int chip, int aux, double value) {
-    timers.insert(Timer{seconds, next_seq++, kind, chip, aux, value});
+    return timers.insert(Timer{seconds, next_seq++, kind, chip, aux, value});
   };
 
   // Build the timer wheel from the fault plan. Domain-outage markers are
@@ -617,12 +621,9 @@ ClusterResult ClusterSimulator::run(const std::vector<serve::Request>& requests,
     }
     // Drop any still-pending hedge timer for this request so an idle tail
     // of the run never waits on it.
-    for (auto it = timers.begin(); it != timers.end();) {
-      if (it->kind == TimerKind::kHedge && it->aux == request_id) {
-        it = timers.erase(it);
-      } else {
-        ++it;
-      }
+    if (state.hedge_timer) {
+      timers.erase(*state.hedge_timer);
+      state.hedge_timer.reset();
     }
   };
 
@@ -911,6 +912,9 @@ ClusterResult ClusterSimulator::run(const std::vector<serve::Request>& requests,
     if (timer_time <= completion_time && timer_time <= arrival_time) {
       const Timer timer = *timers.begin();
       timers.erase(timers.begin());
+      if (timer.kind == TimerKind::kHedge) {
+        states[static_cast<std::size_t>(timer.aux)].hedge_timer.reset();
+      }
       advance_to(timer.seconds);
       switch (timer.kind) {
         case TimerKind::kCrash: {
@@ -1113,7 +1117,8 @@ ClusterResult ClusterSimulator::run(const std::vector<serve::Request>& requests,
         ++result.rejected;
         rejected_total.add();
       } else if (hedging_enabled && request.cls == serve::RequestClass::kInteractive) {
-        schedule(now + config_.hedge.delay_seconds, TimerKind::kHedge, -1, request.id, 0.0);
+        state.hedge_timer =
+            schedule(now + config_.hedge.delay_seconds, TimerKind::kHedge, -1, request.id, 0.0);
       }
     }
 

@@ -126,18 +126,24 @@ FormatTraceResult run_hyb_trace(const sparse::CsrMatrix& matrix, const sparse::R
   SCC_REQUIRE(spill_fraction >= 0.0 && spill_fraction < 1.0, "spill_fraction out of [0,1)");
 
   // Bell-Garland split over the local block: smallest width whose tail stays
-  // within the spill budget.
+  // within the spill budget. The tail shrinks as the width grows, so scan
+  // down from the longest row: lowering the width from w to w-1 spills one
+  // more entry from every row of length >= w.
   const index_t max_len = max_row_length(matrix, block);
-  auto spill_at = [&](index_t w) {
-    nnz_t spill = 0;
-    for (index_t r = block.row_begin; r < block.row_end; ++r) {
-      spill += std::max<nnz_t>(0, matrix.row_length(r) - w);
-    }
-    return spill;
-  };
+  std::vector<nnz_t> rows_of_length(static_cast<std::size_t>(max_len) + 1, 0);
+  for (index_t r = block.row_begin; r < block.row_end; ++r) {
+    ++rows_of_length[static_cast<std::size_t>(matrix.row_length(r))];
+  }
   const auto budget = static_cast<nnz_t>(spill_fraction * static_cast<double>(block.nnz));
-  index_t width = 0;
-  while (width < max_len && spill_at(width) > budget) ++width;
+  index_t width = max_len;
+  nnz_t spill = 0;          // tail entries at `width`
+  nnz_t rows_at_least = 0;  // rows of length >= width
+  while (width > 0) {
+    rows_at_least += rows_of_length[static_cast<std::size_t>(width)];
+    if (spill + rows_at_least > budget) break;
+    spill += rows_at_least;
+    --width;
+  }
 
   detail::Tracker tracker(hierarchy, tlb);
   ell_slab_trace(matrix, block, width, tracker);

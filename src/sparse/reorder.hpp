@@ -16,8 +16,10 @@ namespace scc::sparse {
 
 /// Reverse Cuthill-McKee ordering of the symmetrized pattern of a square
 /// matrix. Returns `perm` with perm[new] = old, suitable for
-/// `CsrMatrix::permute_symmetric`. Each connected component is seeded from a
-/// pseudo-peripheral vertex found by repeated BFS.
+/// `CsrMatrix::permute_symmetric`. Each connected component starts from the
+/// last vertex that a single BFS sweep from the component's lowest-numbered
+/// vertex reaches (one sweep, not the iterated pseudo-peripheral search).
+/// Runs in O(nnz log d) for maximum degree d.
 std::vector<index_t> reverse_cuthill_mckee(const CsrMatrix& matrix);
 
 }  // namespace scc::sparse

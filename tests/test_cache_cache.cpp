@@ -2,12 +2,236 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace scc::cache {
 namespace {
 
 CacheConfig tiny() {
   // 4 sets x 4 ways x 32B lines = 512 B: easy to reason about evictions.
   return CacheConfig{.size_bytes = 512, .line_bytes = 32, .ways = 4};
+}
+
+/// The cache model as it stood before its lookup was optimised, kept
+/// verbatim as the executable specification: two scans (hit, then first
+/// empty way) and a tree walk for every PLRU touch and victim choice. The
+/// optimised `Cache` must reproduce every AccessResult and statistic of it.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& config) : config_(config) {
+    config_.validate();
+    sets_ = config_.sets();
+    line_shift_ = std::countr_zero(config_.line_bytes);
+    tag_shift_ = std::countr_zero(static_cast<std::uint64_t>(sets_));
+    plru_levels_ = std::countr_zero(static_cast<unsigned>(config_.ways));
+    set_mask_ = static_cast<std::uint64_t>(sets_) - 1;
+    const std::size_t slots =
+        static_cast<std::size_t>(sets_) * static_cast<std::size_t>(config_.ways);
+    tags_.assign(slots, kEmpty);
+    dirty_.assign(slots, 0);
+    plru_.assign(static_cast<std::size_t>(sets_), 0);
+  }
+
+  AccessResult access(std::uint64_t address, bool is_write) {
+    const std::uint64_t line = address >> line_shift_;
+    const int set = static_cast<int>(line & set_mask_);
+    const std::uint64_t tag = line >> tag_shift_;
+    const std::size_t base =
+        static_cast<std::size_t>(set) * static_cast<std::size_t>(config_.ways);
+    for (int w = 0; w < config_.ways; ++w) {
+      if (tags_[base + static_cast<std::size_t>(w)] == tag) {
+        touch(set, w);
+        if (is_write) {
+          dirty_[base + static_cast<std::size_t>(w)] = 1;
+          ++stats_.write_hits;
+        } else {
+          ++stats_.read_hits;
+        }
+        return AccessResult{.hit = true, .evicted_dirty = false};
+      }
+    }
+    int way = -1;
+    for (int w = 0; w < config_.ways; ++w) {
+      if (tags_[base + static_cast<std::size_t>(w)] == kEmpty) {
+        way = w;
+        break;
+      }
+    }
+    bool evicted_dirty = false;
+    std::uint64_t victim_address = 0;
+    if (way < 0) {
+      way = victim_way(set);
+      ++stats_.evictions;
+      if (dirty_[base + static_cast<std::size_t>(way)] != 0) {
+        evicted_dirty = true;
+        ++stats_.dirty_writebacks;
+        const std::uint64_t victim_tag = tags_[base + static_cast<std::size_t>(way)];
+        const std::uint64_t victim_line =
+            (victim_tag << tag_shift_) | static_cast<std::uint64_t>(set);
+        victim_address = victim_line << line_shift_;
+      }
+    }
+    tags_[base + static_cast<std::size_t>(way)] = tag;
+    dirty_[base + static_cast<std::size_t>(way)] = is_write ? 1 : 0;
+    touch(set, way);
+    if (is_write) {
+      ++stats_.write_misses;
+    } else {
+      ++stats_.read_misses;
+    }
+    return AccessResult{
+        .hit = false, .evicted_dirty = evicted_dirty, .victim_address = victim_address};
+  }
+
+  void flush() {
+    for (std::size_t slot = 0; slot < tags_.size(); ++slot) {
+      if (tags_[slot] != kEmpty && dirty_[slot] != 0) ++stats_.dirty_writebacks;
+      tags_[slot] = kEmpty;
+      dirty_[slot] = 0;
+    }
+    std::fill(plru_.begin(), plru_.end(), 0U);
+  }
+
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  int victim_way(int set) const {
+    const std::uint32_t bits = plru_[static_cast<std::size_t>(set)];
+    const int ways = config_.ways;
+    int node = 0;
+    while (node < ways - 1) {
+      const int bit = static_cast<int>((bits >> node) & 1U);
+      node = 2 * node + 1 + bit;
+    }
+    return node - (ways - 1);
+  }
+
+  void touch(int set, int way) {
+    std::uint32_t& bits = plru_[static_cast<std::size_t>(set)];
+    int node = 0;
+    for (int level = plru_levels_ - 1; level >= 0; --level) {
+      const int branch = (way >> level) & 1;
+      if (branch == 0) {
+        bits |= (1U << node);
+      } else {
+        bits &= ~(1U << node);
+      }
+      node = 2 * node + 1 + branch;
+    }
+  }
+
+  static constexpr std::uint64_t kEmpty = ~0ULL;
+  CacheConfig config_;
+  int sets_ = 0;
+  int line_shift_ = 0;
+  int tag_shift_ = 0;
+  int plru_levels_ = 0;
+  std::uint64_t set_mask_ = 0;
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint8_t> dirty_;
+  std::vector<std::uint32_t> plru_;
+  CacheStats stats_;
+};
+
+/// Seeded mixed reference stream: a few unit-stride cursors (the CSR
+/// col/val/y pattern), scattered reads over a window four times the cache
+/// (the x pattern), repeats of the previous address, ~30% writes and a rare
+/// flush. Returns the address, or ~0 for "flush now".
+class MixedStream {
+ public:
+  MixedStream(const CacheConfig& config, std::uint64_t seed)
+      : rng_(seed), window_(4 * config.size_bytes), step_(config.line_bytes / 4) {
+    for (std::size_t s = 0; s < cursors_.size(); ++s) {
+      cursors_[s] = (static_cast<std::uint64_t>(s) + 1) << 32;
+    }
+  }
+
+  static constexpr std::uint64_t kFlush = ~0ULL;
+
+  std::uint64_t next(bool& is_write) {
+    is_write = rng_.bernoulli(0.3);
+    const std::uint64_t pick = rng_.uniform(1000);
+    if (pick == 0) return kFlush;
+    if (pick < 500) {
+      std::uint64_t& cursor = cursors_[pick % cursors_.size()];
+      cursor += step_ == 0 ? 1 : step_;
+      return last_ = cursor;
+    }
+    if (pick < 600) return last_;
+    return last_ = rng_.uniform(window_);
+  }
+
+ private:
+  Rng rng_;
+  std::uint64_t window_;
+  std::uint64_t step_;
+  std::array<std::uint64_t, 3> cursors_{};
+  std::uint64_t last_ = 0;
+};
+
+void expect_same_stats(const CacheStats& got, const CacheStats& want, const std::string& where) {
+  EXPECT_EQ(got.read_hits, want.read_hits) << where;
+  EXPECT_EQ(got.read_misses, want.read_misses) << where;
+  EXPECT_EQ(got.write_hits, want.write_hits) << where;
+  EXPECT_EQ(got.write_misses, want.write_misses) << where;
+  EXPECT_EQ(got.evictions, want.evictions) << where;
+  EXPECT_EQ(got.dirty_writebacks, want.dirty_writebacks) << where;
+}
+
+void check_against_reference(const CacheConfig& config, std::uint64_t seed) {
+  Cache cache(config);
+  ReferenceCache reference(config);
+  MixedStream stream(config, seed);
+  const std::string where = "ways=" + std::to_string(config.ways) +
+                            " line=" + std::to_string(config.line_bytes) +
+                            " seed=" + std::to_string(seed);
+  for (int i = 0; i < 200000; ++i) {
+    bool is_write = false;
+    const std::uint64_t address = stream.next(is_write);
+    if (address == MixedStream::kFlush) {
+      cache.flush();
+      reference.flush();
+      continue;
+    }
+    const AccessResult got = cache.access(address, is_write);
+    const AccessResult want = reference.access(address, is_write);
+    ASSERT_EQ(got.hit, want.hit) << where << " access " << i;
+    ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << where << " access " << i;
+    if (want.evicted_dirty) {
+      ASSERT_EQ(got.victim_address, want.victim_address) << where << " access " << i;
+    }
+  }
+  expect_same_stats(cache.stats(), reference.stats(), where);
+}
+
+class CacheReferenceSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(CacheReferenceSweep, MatchesReferenceModelAccessForAccess) {
+  const int ways = GetParam();
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    check_against_reference(CacheConfig{.size_bytes = 16 * 1024, .line_bytes = 32, .ways = ways},
+                            seed);
+    check_against_reference(CacheConfig{.size_bytes = 2048, .line_bytes = 32, .ways = ways},
+                            seed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheReferenceSweep, ::testing::Values(1, 2, 4, 8, 16));
+
+TEST(CacheReference, TlbGeometryMatchesReferenceModel) {
+  // The P54C data TLB as the Tlb class configures it: 64 entries, 4 ways,
+  // 4 KB pages.
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    check_against_reference(CacheConfig{.size_bytes = 64 * 4096, .line_bytes = 4096, .ways = 4},
+                            seed);
+  }
 }
 
 TEST(CacheConfig, SccDefaultsValidate) {
@@ -26,6 +250,16 @@ TEST(CacheConfig, RejectsNonPowerOfTwo) {
                std::invalid_argument);
   EXPECT_THROW((CacheConfig{.size_bytes = 512, .line_bytes = 32, .ways = 3}).validate(),
                std::invalid_argument);
+}
+
+TEST(CacheConfig, RejectsDegenerateGeometry) {
+  // One-byte lines would let a real tag collide with the invalid-way marker;
+  // more than 32 ways overflow the PLRU tree word.
+  EXPECT_THROW((CacheConfig{.size_bytes = 512, .line_bytes = 1, .ways = 4}).validate(),
+               std::invalid_argument);
+  EXPECT_THROW((CacheConfig{.size_bytes = 64 * 32 * 4, .line_bytes = 32, .ways = 64}).validate(),
+               std::invalid_argument);
+  EXPECT_NO_THROW((CacheConfig{.size_bytes = 32 * 32, .line_bytes = 32, .ways = 32}).validate());
 }
 
 TEST(Cache, ColdMissThenHit) {

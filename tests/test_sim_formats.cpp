@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/generators.hpp"
 #include "sim/engine.hpp"
 
@@ -86,6 +88,44 @@ TEST(HybTrace, ZeroSpillEqualsEll) {
   auto h2 = fresh_hierarchy();
   const auto hyb = run_hyb_trace(m, whole(m), 0.0, h2, nullptr);
   EXPECT_DOUBLE_EQ(hyb.executed_elements, ell.executed_elements);
+}
+
+/// The Bell-Garland width by its definition: the smallest width whose tail
+/// (entries beyond it) fits the spill budget, found by trying every width.
+double brute_force_hyb_elements(const sparse::CsrMatrix& m, double spill_fraction) {
+  const auto budget = static_cast<nnz_t>(spill_fraction * static_cast<double>(m.nnz()));
+  for (index_t width = 0;; ++width) {
+    nnz_t tail = 0;
+    index_t longest = 0;
+    for (index_t r = 0; r < m.rows(); ++r) {
+      tail += std::max<nnz_t>(0, m.row_length(r) - width);
+      longest = std::max(longest, m.row_length(r));
+    }
+    if (tail <= budget || width >= longest) {
+      return static_cast<double>(width) * static_cast<double>(m.rows()) +
+             static_cast<double>(tail);
+    }
+  }
+}
+
+TEST(HybTrace, WidthMatchesDefinition) {
+  // Row lengths {1, 1, 1, 5}: at spill fraction 0.5 the budget is 4 and the
+  // tail at width 1 is exactly 4, so the boundary case decides the width.
+  sparse::CooMatrix coo(4, 8);
+  for (index_t r = 0; r < 3; ++r) coo.add(r, r, 1.0);
+  for (index_t c = 0; c < 5; ++c) coo.add(3, c, 1.0);
+  const auto skewed = sparse::CsrMatrix::from_coo(std::move(coo));
+  const sparse::CsrMatrix matrices[] = {skewed, gen::power_law(800, 6, 1.2, 2),
+                                        gen::circuit(600, 2.0, 0.3, 3),
+                                        gen::banded(400, 5, 0.6, 4)};
+  for (const auto& m : matrices) {
+    for (const double spill : {0.0, 0.1, 0.25, 0.33, 0.5, 0.9}) {
+      auto h = fresh_hierarchy();
+      const auto hyb = run_hyb_trace(m, whole(m), spill, h, nullptr);
+      EXPECT_DOUBLE_EQ(hyb.executed_elements, brute_force_hyb_elements(m, spill))
+          << m.rows() << " rows, spill " << spill;
+    }
+  }
 }
 
 TEST(HybTrace, ValidatesSpill) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <vector>
+
+#include "common/hash.hpp"
 #include "gen/generators.hpp"
+#include "sim/format_traces.hpp"
 #include "sparse/partition.hpp"
+#include "testbed/suite.hpp"
 
 namespace scc::sim {
 namespace {
@@ -149,6 +156,102 @@ TEST(Trace, DeterministicAcrossRuns) {
   EXPECT_EQ(a.memory_accesses, b.memory_accesses);
   EXPECT_EQ(a.memory_read_bytes, b.memory_read_bytes);
   EXPECT_EQ(a.l2_hit_accesses, b.l2_hit_accesses);
+}
+
+// ---------------------------------------------------------------------------
+// Exactness golden: a digest of every TraceResult counter over the whole
+// Table-I testbed, recorded before the cache model's fast paths existed.
+// Any optimisation of the replay (lookup, PLRU update, repeat filter) must
+// leave every digest unchanged.
+
+void hash_stats(common::Fnv1a& h, const cache::CacheStats& s) {
+  h.u64(s.read_hits);
+  h.u64(s.read_misses);
+  h.u64(s.write_hits);
+  h.u64(s.write_misses);
+  h.u64(s.evictions);
+  h.u64(s.dirty_writebacks);
+}
+
+void hash_trace(common::Fnv1a& h, const TraceResult& r) {
+  hash_stats(h, r.l1);
+  hash_stats(h, r.l2);
+  h.u64(r.memory_accesses);
+  h.u64(r.l2_hit_accesses);
+  h.u64(r.memory_read_bytes);
+  h.u64(r.memory_write_bytes);
+  h.u64(r.tlb_misses);
+  h.i64(r.rows);
+  h.i64(r.nnz);
+}
+
+/// One kernel replay: the CSR kernel in both variants, then ELL, BCSR 2x2,
+/// BCSR 4x4 and HYB (the engine's 0.33 spill budget).
+void hash_kernel(common::Fnv1a& h, int kernel, const sparse::CsrMatrix& m,
+                 const sparse::RowBlock& block, cache::Hierarchy& hier, cache::Tlb* tlb) {
+  if (kernel < 2) {
+    const auto variant = kernel == 0 ? SpmvVariant::kCsr : SpmvVariant::kCsrNoXMiss;
+    hash_trace(h, run_spmv_trace(m, block, variant, hier, tlb));
+    return;
+  }
+  FormatTraceResult r;
+  switch (kernel) {
+    case 2: r = run_ell_trace(m, block, hier, tlb); break;
+    case 3: r = run_bcsr_trace(m, block, 2, hier, tlb); break;
+    case 4: r = run_bcsr_trace(m, block, 4, hier, tlb); break;
+    default: r = run_hyb_trace(m, block, 0.33, hier, tlb); break;
+  }
+  hash_trace(h, r.trace);
+  h.f64(r.executed_elements);
+  h.f64(r.rows_iterated);
+}
+
+/// Digest of one matrix over 6 kernels x TLB on/off x L2 on/off. Each
+/// configuration replays the whole matrix cold, then the first of three
+/// row blocks warm through the same caches, then flushes and replays the
+/// second block, so state carried between replays is covered too.
+std::uint64_t testbed_trace_digest(const sparse::CsrMatrix& m) {
+  common::Fnv1a h;
+  const auto blocks = sparse::partition_rows_balanced_nnz(m, 3);
+  for (const bool tlb_on : {false, true}) {
+    for (const bool l2_on : {false, true}) {
+      for (int kernel = 0; kernel < 6; ++kernel) {
+        cache::HierarchyConfig cfg;
+        cfg.l2_enabled = l2_on;
+        cache::Hierarchy hier(cfg);
+        cache::Tlb tlb;
+        cache::Tlb* t = tlb_on ? &tlb : nullptr;
+        hash_kernel(h, kernel, m, whole(m), hier, t);
+        hash_kernel(h, kernel, m, blocks[0], hier, t);
+        h.u64(hier.flush());
+        tlb.flush();
+        hash_kernel(h, kernel, m, blocks[1], hier, t);
+      }
+    }
+  }
+  return h.value();
+}
+
+TEST(TraceGolden, TestbedDigestsUnchanged) {
+  // Recorded at testbed scale 0.05, one digest per Table-I id 1..32.
+  constexpr std::uint64_t kGolden[32] = {
+      0xe4659b775bdb9a55ULL, 0x06c75243895a83f9ULL, 0x82424bdd01409f25ULL, 0xbec9fd7672fac8a9ULL,
+      0xaa605b11f06e2071ULL, 0x7d0b9922e2bd98cdULL, 0x7f397966aab965b5ULL, 0x4242ab3120dcd8bdULL,
+      0x18b96f64a6f896b9ULL, 0xc27d2775823f69cdULL, 0x78304e3764103f79ULL, 0x126e46f1454cd00dULL,
+      0xf0b8156d5cf9a029ULL, 0x4671e35b75aaf381ULL, 0xad6a8288a83d2a75ULL, 0xb814bd1b8bdf1f9dULL,
+      0xbef18c8855fff6a1ULL, 0x0f75c883ff8cd961ULL, 0xde832533648d7ff5ULL, 0xa73c7380d24ead55ULL,
+      0x2997aca5e40a27d1ULL, 0x127abed0f6b55ce5ULL, 0x42ee5036d8c6aee5ULL, 0x821c3b8e90147da9ULL,
+      0x774db77790f93675ULL, 0x4b726f284b83a871ULL, 0x13ecbca65d434be1ULL, 0x0d5f5bd6ef756e81ULL,
+      0x61264585d06b659dULL, 0x3c799f0b98249b1dULL, 0xa542c1294713ea5dULL, 0xd35c155ce2e8d349ULL,
+  };
+  const auto suite = testbed::build_suite(0.05, /*use_cache=*/false);
+  ASSERT_EQ(suite.size(), 32u);
+  for (const auto& entry : suite) {
+    const std::uint64_t digest = testbed_trace_digest(entry.matrix);
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, kGolden[entry.id - 1]) << "testbed #" << entry.id << " digest " << hex;
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <numeric>
 
+#include "common/hash.hpp"
 #include "gen/generators.hpp"
 #include "sparse/properties.hpp"
 
@@ -19,6 +22,20 @@ bool is_permutation_of_identity(const std::vector<index_t>& perm) {
     if (sorted[i] != static_cast<index_t>(i)) return false;
   }
   return true;
+}
+
+CsrMatrix one_directional_chain() {
+  CooMatrix coo(8, 8);
+  for (index_t i = 0; i < 7; ++i) coo.add(i, i + 1, 1.0);
+  for (index_t i = 0; i < 8; ++i) coo.add(i, i, 1.0);
+  return CsrMatrix::from_coo(std::move(coo));
+}
+
+CsrMatrix pair_with_isolated() {
+  CooMatrix coo(6, 6);
+  coo.add(0, 1, 1.0);
+  coo.add(1, 0, 1.0);
+  return CsrMatrix::from_coo(std::move(coo));
 }
 
 TEST(Rcm, ReturnsValidPermutation) {
@@ -67,20 +84,14 @@ TEST(Rcm, HandlesDisconnectedComponents) {
 }
 
 TEST(Rcm, HandlesIsolatedVertices) {
-  CooMatrix coo(6, 6);
-  coo.add(0, 1, 1.0);
-  coo.add(1, 0, 1.0);
-  const auto m = CsrMatrix::from_coo(std::move(coo));
+  const auto m = pair_with_isolated();
   const auto perm = reverse_cuthill_mckee(m);
   EXPECT_TRUE(is_permutation_of_identity(perm));
 }
 
 TEST(Rcm, WorksOnUnsymmetricPattern) {
   // Pattern is symmetrized internally, so a one-directional chain works.
-  CooMatrix coo(8, 8);
-  for (index_t i = 0; i < 7; ++i) coo.add(i, i + 1, 1.0);
-  for (index_t i = 0; i < 8; ++i) coo.add(i, i, 1.0);
-  const auto m = CsrMatrix::from_coo(std::move(coo));
+  const auto m = one_directional_chain();
   const auto perm = reverse_cuthill_mckee(m);
   EXPECT_TRUE(is_permutation_of_identity(perm));
   const auto reordered = m.permute_symmetric(perm);
@@ -119,6 +130,76 @@ TEST_P(RcmSweep, AlwaysPermutation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, RcmSweep, ::testing::Values(0, 1, 2, 3, 4));
+
+// ---------------------------------------------------------------------------
+// Exactness golden: digests of the permutations RCM returned before its
+// adjacency build and BFS were made linear-time. Every kRcmRows engine run
+// replays the permuted matrix, so any change to a permutation (a different
+// tie order among equal-degree neighbours, a different start vertex) would
+// move simulated results.
+
+CsrMatrix chains_with_isolated_tail() {
+  // Two chains, a star, and isolated vertices interleaved with them.
+  CooMatrix coo(40, 40);
+  for (index_t i = 0; i < 9; ++i) coo.add(i, i + 1, 1.0);
+  for (index_t i = 12; i < 20; i += 2) coo.add(i + 2, i, 1.0);
+  for (index_t leaf = 25; leaf < 33; ++leaf) coo.add(22, leaf, 1.0);
+  for (index_t i = 0; i < 40; i += 3) coo.add(i, i, 1.0);
+  return CsrMatrix::from_coo(std::move(coo));
+}
+
+CsrMatrix lower_triangle_of(const CsrMatrix& m) {
+  // Drops the upper triangle: the pattern RCM sees is rebuilt from A^T alone
+  // for every entry above the diagonal.
+  CooMatrix coo(m.rows(), m.cols());
+  for (index_t r = 0; r < m.rows(); ++r) {
+    for (index_t c : m.row_cols(r)) {
+      if (c <= r) coo.add(r, c, 1.0);
+    }
+  }
+  return CsrMatrix::from_coo(std::move(coo));
+}
+
+std::uint64_t perm_digest(const std::vector<index_t>& perm) {
+  common::Fnv1a h;
+  h.array(std::span<const index_t>(perm));
+  return h.value();
+}
+
+struct RcmGoldenCase {
+  const char* name;
+  CsrMatrix matrix;
+  std::uint64_t digest;
+};
+
+TEST(RcmGolden, PermutationDigestsUnchanged) {
+  const RcmGoldenCase cases[] = {
+      {"banded", gen::banded(300, 9, 0.5, 3), 0x91793def3feb72a2ULL},
+      {"random_uniform", gen::random_uniform(300, 4, 3), 0x20408d5bdb80bf12ULL},
+      {"power_law", gen::power_law(300, 5, 1.3, 3), 0xf35f3ad71b687f06ULL},
+      {"circuit", gen::circuit(300, 2.0, 0.4, 3), 0x7f73424f55da8d6aULL},
+      {"stencil_2d", gen::stencil_2d(17, 18), 0x39942e8ce69f2751ULL},
+      {"banded_large", gen::banded(5000, 12, 0.6, 11), 0x1a776ea033dfc910ULL},
+      {"random_sparse", gen::random_uniform(4000, 1, 12), 0xf97c175d155f11c0ULL},
+      {"power_law_hubs", gen::power_law(5000, 8, 1.1, 13), 0x9505e4ea3c5596e4ULL},
+      {"circuit_large", gen::circuit(5000, 1.5, 0.3, 14), 0xb8666b703827eb28ULL},
+      {"stencil_3d", gen::stencil_3d(14, 15, 16), 0x7c4785ce3683fbdeULL},
+      {"fem_blocks", gen::fem_blocks(300, 6, 3, 15), 0x39352ab0234ff18cULL},
+      {"lower_triangle", lower_triangle_of(gen::power_law(3000, 6, 1.2, 16)),
+       0xcab7eec7f2dbb164ULL},
+      {"chains_isolated", chains_with_isolated_tail(), 0x118eeede60f8ad7dULL},
+      {"pair_isolated", pair_with_isolated(), 0xe8a2fc45eb4fed12ULL},
+      {"unsymmetric_chain", one_directional_chain(), 0x8fe5201b5dce7acdULL},
+  };
+  for (const RcmGoldenCase& c : cases) {
+    const auto perm = reverse_cuthill_mckee(c.matrix);
+    ASSERT_TRUE(is_permutation_of_identity(perm)) << c.name;
+    const std::uint64_t digest = perm_digest(perm);
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, c.digest) << c.name << " digest " << hex;
+  }
+}
 
 }  // namespace
 }  // namespace scc::sparse
