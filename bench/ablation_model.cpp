@@ -29,14 +29,14 @@ int main() {
     off.memory.model_contention = false;
     Table t("A: per-MC bandwidth contention (24 cores, standard mapping)");
     t.set_header({"model", "suite MFLOPS", "mapping speedup (dr/std)"});
+    sim::RunSpec standard;
+    standard.ue_count = 24;
+    sim::RunSpec reduced = standard;
+    reduced.policy = chip::MappingPolicy::kDistanceReduction;
     for (const auto* cfg : {&on, &off}) {
       const sim::Engine engine(*cfg);
-      const double std_perf = benchutil::suite_mean_gflops(
-                                  engine, suite, 24, chip::MappingPolicy::kStandard) *
-                              1000.0;
-      const double dr_perf = benchutil::suite_mean_gflops(
-                                 engine, suite, 24, chip::MappingPolicy::kDistanceReduction) *
-                             1000.0;
+      const double std_perf = benchutil::suite_mean_gflops(engine, suite, standard) * 1000.0;
+      const double dr_perf = benchutil::suite_mean_gflops(engine, suite, reduced) * 1000.0;
       t.add_row({cfg->memory.model_contention ? "contention on" : "contention off",
                  Table::num(std_perf, 1), Table::num(dr_perf / std_perf, 3)});
     }
@@ -68,17 +68,18 @@ int main() {
     Table t("C: RCM reordering vs no-x-miss headroom (8 cores, MFLOPS)");
     t.set_header({"#", "matrix", "original", "RCM-reordered", "no-x-miss bound",
                   "headroom recovered %"});
+    sim::RunSpec spec;
+    spec.ue_count = 8;
+    spec.policy = chip::MappingPolicy::kDistanceReduction;
+    sim::RunSpec no_x_miss = spec;
+    no_x_miss.variant = sim::SpmvVariant::kCsrNoXMiss;
     for (int id : {14, 17, 24, 25}) {  // random + circuit stand-ins
       const auto& e = suite[static_cast<std::size_t>(id - 1)];
-      const double base =
-          engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction).mflops();
+      const double base = engine.run(e.matrix, spec).mflops();
       const auto perm = sparse::reverse_cuthill_mckee(e.matrix);
       const auto reordered = e.matrix.permute_symmetric(perm);
-      const double rcm =
-          engine.run(reordered, 8, chip::MappingPolicy::kDistanceReduction).mflops();
-      const double bound = engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction,
-                                      sim::SpmvVariant::kCsrNoXMiss)
-                               .mflops();
+      const double rcm = engine.run(reordered, spec).mflops();
+      const double bound = engine.run(e.matrix, no_x_miss).mflops();
       const double recovered =
           bound > base ? (rcm - base) / (bound - base) * 100.0 : 100.0;
       t.add_row({Table::integer(id), e.name, Table::num(base, 1), Table::num(rcm, 1),
@@ -140,13 +141,15 @@ int main() {
     const sim::Engine engine;
     Table t("F: mapping policies at non-multiple-of-4 UE counts (suite MFLOPS)");
     t.set_header({"UEs", "standard", "distance-reduction", "contention-aware"});
+    sim::RunSpec spec;
     for (int ues : {6, 10, 18}) {
       std::vector<std::string> row = {Table::integer(ues)};
+      spec.ue_count = ues;
       for (auto policy :
            {chip::MappingPolicy::kStandard, chip::MappingPolicy::kDistanceReduction,
             chip::MappingPolicy::kContentionAware}) {
-        row.push_back(Table::num(
-            benchutil::suite_mean_gflops(engine, suite, ues, policy) * 1000.0, 1));
+        spec.policy = policy;
+        row.push_back(Table::num(benchutil::suite_mean_gflops(engine, suite, spec) * 1000.0, 1));
       }
       t.add_row(std::move(row));
     }

@@ -52,29 +52,27 @@ inline std::vector<testbed::SuiteEntry> load_suite() {
   return suite;
 }
 
-/// Mean whole-run GFLOPS over the suite for one configuration.
+/// Mean whole-run GFLOPS over the suite for one run spec.
 inline double suite_mean_gflops(const sim::Engine& engine,
-                                const std::vector<testbed::SuiteEntry>& suite, int ue_count,
-                                chip::MappingPolicy policy,
-                                sim::SpmvVariant variant = sim::SpmvVariant::kCsr) {
+                                const std::vector<testbed::SuiteEntry>& suite,
+                                const sim::RunSpec& spec) {
   std::vector<double> gflops;
   gflops.reserve(suite.size());
   for (const auto& e : suite) {
-    gflops.push_back(engine.run(e.matrix, ue_count, policy, variant).gflops);
+    gflops.push_back(engine.run(e.matrix, spec).gflops);
   }
   return mean(gflops);
 }
 
-/// Mean single-core GFLOPS at a forced hop distance (Fig 3).
-inline double suite_mean_gflops_at_hops(const sim::Engine& engine,
-                                        const std::vector<testbed::SuiteEntry>& suite,
-                                        int hops) {
-  std::vector<double> gflops;
-  gflops.reserve(suite.size());
-  for (const auto& e : suite) {
-    gflops.push_back(engine.run_single_core_at_hops(e.matrix, hops).gflops);
-  }
-  return mean(gflops);
+/// Whether a claim's regime bucket has any member. Below full scale a
+/// bucket can be empty (e.g. no matrix's per-core share exceeds L2); then
+/// this prints "regime absent at this scale: <precondition>" and the caller
+/// measures 0 for every claim built on the bucket, a finite value outside
+/// each such claim's tolerance band, so the claim reports not ok.
+inline bool regime_present(const std::vector<double>& bucket, const std::string& precondition) {
+  if (!bucket.empty()) return true;
+  std::cout << "regime absent at this scale: " << precondition << '\n';
+  return false;
 }
 
 /// Print a table and, when $SCC_BENCH_CSV_DIR is set, also write it as

@@ -35,6 +35,9 @@ int main() {
   bool bcsr2_never_worse_than_bcsr4 = true;
   double bcsr2_on_mass = 0.0;
   double csr_on_mass = 0.0;
+  sim::RunSpec spec;
+  spec.ue_count = 24;
+  spec.policy = chip::MappingPolicy::kDistanceReduction;
   for (int id : ids) {
     const auto& e = suite[static_cast<std::size_t>(id - 1)];
     std::vector<std::string> row = {Table::integer(id), e.name, e.family};
@@ -42,9 +45,8 @@ int main() {
     double bcsr2 = 0.0;
     std::string best_name;
     for (const auto format : formats) {
-      const double mflops =
-          engine.run_format(e.matrix, 24, chip::MappingPolicy::kDistanceReduction, format)
-              .mflops();
+      spec.format = format;
+      const double mflops = engine.run(e.matrix, spec).mflops();
       row.push_back(Table::num(mflops, 0));
       if (mflops > best) {
         best = mflops;

@@ -31,8 +31,10 @@ int main() {
                                              chip::FrequencyConfig::conf1()}}) {
     sim::EngineConfig cfg;
     cfg.freq = freq;
-    const double gflops = benchutil::suite_mean_gflops(
-        sim::Engine(cfg), suite, 48, chip::MappingPolicy::kDistanceReduction);
+    sim::RunSpec spec;
+    spec.ue_count = 48;
+    spec.policy = chip::MappingPolicy::kDistanceReduction;
+    const double gflops = benchutil::suite_mean_gflops(sim::Engine(cfg), suite, spec);
     scc_points.push_back({name, gflops, power.full_system_watts(freq)});
   }
 

@@ -16,8 +16,11 @@ int main() {
   table.set_header({"hops", "MFLOPS/s", "relative to 0 hops", "Eq.1 latency (ns)"});
 
   std::vector<double> perf;
+  sim::RunSpec spec;
+  spec.cores = {0};
   for (int hops = 0; hops <= 3; ++hops) {
-    perf.push_back(benchutil::suite_mean_gflops_at_hops(engine, suite, hops) * 1000.0);
+    spec.forced_hops = hops;
+    perf.push_back(benchutil::suite_mean_gflops(engine, suite, spec) * 1000.0);
   }
   for (int hops = 0; hops <= 3; ++hops) {
     const auto h = static_cast<std::size_t>(hops);

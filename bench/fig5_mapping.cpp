@@ -20,13 +20,15 @@ int main() {
 
   double best_speedup = 0.0;
   double speedup_at_2 = 0.0;
+  sim::RunSpec standard;
+  standard.policy = chip::MappingPolicy::kStandard;
+  sim::RunSpec reduced;
+  reduced.policy = chip::MappingPolicy::kDistanceReduction;
   for (int cores : benchutil::core_count_sweep()) {
-    const double std_perf =
-        benchutil::suite_mean_gflops(engine, suite, cores, chip::MappingPolicy::kStandard) *
-        1000.0;
-    const double dr_perf = benchutil::suite_mean_gflops(
-                               engine, suite, cores, chip::MappingPolicy::kDistanceReduction) *
-                           1000.0;
+    standard.ue_count = cores;
+    reduced.ue_count = cores;
+    const double std_perf = benchutil::suite_mean_gflops(engine, suite, standard) * 1000.0;
+    const double dr_perf = benchutil::suite_mean_gflops(engine, suite, reduced) * 1000.0;
     const double speedup = dr_perf / std_perf;
     best_speedup = std::max(best_speedup, speedup);
     if (cores == 2) speedup_at_2 = speedup;

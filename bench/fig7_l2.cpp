@@ -23,13 +23,12 @@ int main() {
 
   double degradation_48 = 0.0;
   double degradation_4 = 0.0;
+  sim::RunSpec spec;
+  spec.policy = chip::MappingPolicy::kDistanceReduction;
   for (int cores : benchutil::core_count_sweep()) {
-    const double a = benchutil::suite_mean_gflops(with_l2, suite, cores,
-                                                  chip::MappingPolicy::kDistanceReduction) *
-                     1000.0;
-    const double b = benchutil::suite_mean_gflops(without_l2, suite, cores,
-                                                  chip::MappingPolicy::kDistanceReduction) *
-                     1000.0;
+    spec.ue_count = cores;
+    const double a = benchutil::suite_mean_gflops(with_l2, suite, spec) * 1000.0;
+    const double b = benchutil::suite_mean_gflops(without_l2, suite, spec) * 1000.0;
     const double degradation = 1.0 - b / a;
     if (cores == 48) degradation_48 = degradation;
     if (cores == 4) degradation_4 = degradation;
@@ -42,16 +41,21 @@ int main() {
   // its correlation with working-set size (everything misses).
   std::vector<double> small_no_l2;
   std::vector<double> large_no_l2;
+  spec.ue_count = 48;
   for (const auto& e : suite) {
-    const double p =
-        without_l2.run(e.matrix, 48, chip::MappingPolicy::kDistanceReduction).mflops();
+    const double p = without_l2.run(e.matrix, spec).mflops();
     if (e.working_set / 48 < 256 * 1024) {
       small_no_l2.push_back(p);
     } else {
       large_no_l2.push_back(p);
     }
   }
-  const double flat_ratio = mean(small_no_l2) / mean(large_no_l2);
+  const bool has_small =
+      benchutil::regime_present(small_no_l2, "no matrix with ws/48 < 256 KB");
+  const bool has_large =
+      benchutil::regime_present(large_no_l2, "no matrix with ws/48 >= 256 KB");
+  const double flat_ratio =
+      has_small && has_large ? mean(small_no_l2) / mean(large_no_l2) : 0.0;
   std::cout << "\nWithout L2 @48 cores, small/large performance ratio: "
             << Table::num(flat_ratio, 2) << " (with L2 this ratio is >> 1; flat ~1 means the"
             << " working-set effect disappeared, as the paper observes)\n";

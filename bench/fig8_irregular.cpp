@@ -22,17 +22,17 @@ int main() {
   double speedup_m25 = 0.0;
   std::vector<double> fraction_above_110;  // per core count
   std::vector<std::vector<double>> speedups_by_count(core_counts.size());
+  sim::RunSpec base_spec;
+  base_spec.policy = chip::MappingPolicy::kDistanceReduction;
+  sim::RunSpec noxm_spec = base_spec;
+  noxm_spec.variant = sim::SpmvVariant::kCsrNoXMiss;
   for (const auto& e : suite) {
     std::vector<std::string> row = {Table::integer(e.id), e.name, e.family};
     for (std::size_t c = 0; c < core_counts.size(); ++c) {
-      const double base = engine.run(e.matrix, core_counts[c],
-                                     chip::MappingPolicy::kDistanceReduction,
-                                     sim::SpmvVariant::kCsr)
-                              .seconds;
-      const double noxm = engine.run(e.matrix, core_counts[c],
-                                     chip::MappingPolicy::kDistanceReduction,
-                                     sim::SpmvVariant::kCsrNoXMiss)
-                              .seconds;
+      base_spec.ue_count = core_counts[c];
+      noxm_spec.ue_count = core_counts[c];
+      const double base = engine.run(e.matrix, base_spec).seconds;
+      const double noxm = engine.run(e.matrix, noxm_spec).seconds;
       const double speedup = base / noxm;
       speedups_by_count[c].push_back(speedup);
       row.push_back(Table::num(speedup, 2));

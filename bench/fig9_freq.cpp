@@ -27,16 +27,16 @@ int main() {
   Table perf_table("Fig 9a: suite-average performance (MFLOPS, distance-reduction)");
   perf_table.set_header({"cores", "conf0", "conf1", "conf2", "speedup1", "speedup2"});
   std::vector<std::vector<double>> perf(confs.size());
+  sim::RunSpec spec;
+  spec.policy = chip::MappingPolicy::kDistanceReduction;
   for (int cores : benchutil::core_count_sweep()) {
+    spec.ue_count = cores;
     std::vector<std::string> row = {Table::integer(cores)};
     std::vector<double> at_count;
     for (std::size_t c = 0; c < confs.size(); ++c) {
       sim::EngineConfig cfg;
       cfg.freq = confs[c].freq;
-      const double mflops =
-          benchutil::suite_mean_gflops(sim::Engine(cfg), suite, cores,
-                                       chip::MappingPolicy::kDistanceReduction) *
-          1000.0;
+      const double mflops = benchutil::suite_mean_gflops(sim::Engine(cfg), suite, spec) * 1000.0;
       perf[c].push_back(mflops);
       at_count.push_back(mflops);
       row.push_back(Table::num(mflops, 1));

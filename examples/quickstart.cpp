@@ -53,8 +53,11 @@ int main(int argc, char** argv) {
   const sim::Engine engine;
   Table table("simulated SCC (conf0), y = A*x");
   table.set_header({"mapping", "cores", "time (ms)", "MFLOPS/s", "bound by"});
+  sim::RunSpec spec;
+  spec.ue_count = cores;
   for (auto policy : {chip::MappingPolicy::kStandard, chip::MappingPolicy::kDistanceReduction}) {
-    const auto r = engine.run(a, cores, policy);
+    spec.policy = policy;
+    const auto r = engine.run(a, spec);
     table.add_row({chip::to_string(policy), Table::integer(cores),
                    Table::num(r.seconds * 1e3, 3), Table::num(r.mflops(), 1),
                    r.bandwidth_bound ? "memory bandwidth" : "slowest core"});

@@ -119,8 +119,11 @@ int main(int argc, char** argv) {
   const sim::Engine engine;
   Table perf("simulated SCC performance (conf0, distance-reduction)");
   perf.set_header({"cores", "time (ms)", "MFLOPS", "bound by", "mesh hot link (MB)"});
+  sim::RunSpec spec;
+  spec.policy = chip::MappingPolicy::kDistanceReduction;
   for (int c : cores) {
-    const auto r = engine.run(a, c, chip::MappingPolicy::kDistanceReduction);
+    spec.ue_count = c;
+    const auto r = engine.run(a, spec);
     perf.add_row({Table::integer(c), Table::num(r.seconds * 1e3, 3), Table::num(r.mflops(), 1),
                   r.bandwidth_bound ? "bandwidth" : "latency/compute",
                   Table::num(static_cast<double>(r.mesh.max_link_bytes) / 1048576.0, 2)});

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <optional>
 #include <set>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/trace.hpp"
-#include "sim/format_traces.hpp"
 #include "sim/run_cache.hpp"
 #include "sparse/properties.hpp"
 #include "sparse/reorder.hpp"
@@ -18,15 +16,27 @@ namespace scc::sim {
 
 namespace {
 
-/// Produces one core's trace and its kernel compute-cycle count; lets the
-/// CSR run and the format-study runs share the whole aggregation pipeline.
-using TraceFn = std::function<TraceResult(const sparse::RowBlock& block,
-                                          cache::Hierarchy& hierarchy, cache::Tlb* tlb,
-                                          double& compute_cycles)>;
-
 std::vector<int> resolve_cores(const RunSpec& spec) {
   if (!spec.cores.empty()) return spec.cores;
   return chip::map_ues_to_cores(spec.policy, spec.ue_count);
+}
+
+/// The per-format cost table: kernel cycles per executed element (CSR
+/// nonzero, ELL/HYB slot, BCSR block value). Every format adds
+/// `cycles_per_row` per row (or block-row) loop trip on top.
+double element_cycles(const KernelCostModel& kernel, StorageFormat format) {
+  switch (format) {
+    case StorageFormat::kCsr:
+      return kernel.cycles_per_nnz;
+    case StorageFormat::kEll:
+    case StorageFormat::kHyb:
+      return kernel.cycles_per_ell_slot;
+    case StorageFormat::kBcsr2:
+    case StorageFormat::kBcsr4:
+      return kernel.cycles_per_bcsr_element;
+  }
+  SCC_ASSERT(false, "unknown storage format " << static_cast<int>(format));
+  return 0.0;
 }
 
 }  // namespace
@@ -42,14 +52,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
               "mc_peak_fraction must be in (0,1]");
 }
 
-void Engine::attach_run_cache(RunCache* cache) {
-  // Non-owning adoption (aliasing constructor with no control block): the
-  // deprecated raw-pointer contract -- caller manages lifetime -- preserved
-  // on top of the owning handle.
-  run_cache_ = cache == nullptr ? nullptr
-                                : std::shared_ptr<RunCache>(std::shared_ptr<RunCache>(), cache);
-}
-
 double Engine::mc_bandwidth_bytes_per_second() const {
   // One DDR3 channel per controller: 8 bytes per memory clock at peak,
   // derated for scattered 32-byte line transactions.
@@ -57,7 +59,8 @@ double Engine::mc_bandwidth_bytes_per_second() const {
 }
 
 RunResult Engine::run(const sparse::CsrMatrix& matrix, const RunSpec& spec) const {
-  SCC_REQUIRE(spec.forced_hops <= 3, "forced_hops above the mesh's maximum of 3");
+  SCC_REQUIRE(spec.forced_hops >= -1 && spec.forced_hops <= 3,
+              "forced_hops must be -1 (real distances) or a hop count in 0..3");
   const auto cores = resolve_cores(spec);
   if (run_cache_ == nullptr) {
     return run_uncached(matrix, spec, cores);
@@ -162,114 +165,15 @@ RunResult Engine::run_unverified(const sparse::CsrMatrix& matrix, const RunSpec&
     SCC_REQUIRE(spec.format == StorageFormat::kCsr,
                 "dead_ranks supports the CSR format only");
     SCC_REQUIRE(spec.forced_hops < 0, "dead_ranks cannot combine with forced_hops");
-    const DegradedRunResult degraded = run_degraded_impl(matrix, spec, cores);
-    RunResult result = degraded.result;
-    result.dead_count = degraded.dead_count;
-    result.reshipped_bytes = degraded.reshipped_bytes;
-    result.recovery_seconds = degraded.recovery_seconds;
-    result.seconds = degraded.seconds;
-    result.gflops = degraded.gflops;
-    return result;
+    return run_degraded_impl(matrix, spec, cores);
   }
-  if (spec.format == StorageFormat::kCsr) {
-    return run_impl(matrix, cores, spec.variant, spec.forced_hops, spec.recorder);
-  }
-  SCC_REQUIRE(spec.variant == SpmvVariant::kCsr,
+  SCC_REQUIRE(spec.format == StorageFormat::kCsr || spec.variant == SpmvVariant::kCsr,
               "alternative storage formats have no no-x-miss variant");
-  const KernelCostModel& k = config_.kernel;
-  TraceFn trace_fn;
-  switch (spec.format) {
-    case StorageFormat::kCsr:
-      break;  // handled above
-    case StorageFormat::kEll:
-      trace_fn = [&](const sparse::RowBlock& block, cache::Hierarchy& h, cache::Tlb* tlb,
-                     double& cycles) {
-        const FormatTraceResult r = run_ell_trace(matrix, block, h, tlb);
-        cycles = k.cycles_per_ell_slot * r.executed_elements +
-                 k.cycles_per_row * r.rows_iterated;
-        return r.trace;
-      };
-      break;
-    case StorageFormat::kBcsr2:
-    case StorageFormat::kBcsr4: {
-      const index_t b = spec.format == StorageFormat::kBcsr2 ? 2 : 4;
-      trace_fn = [&, b](const sparse::RowBlock& block, cache::Hierarchy& h, cache::Tlb* tlb,
-                        double& cycles) {
-        const FormatTraceResult r = run_bcsr_trace(matrix, block, b, h, tlb);
-        cycles = k.cycles_per_bcsr_element * r.executed_elements +
-                 k.cycles_per_row * r.rows_iterated;
-        return r.trace;
-      };
-      break;
-    }
-    case StorageFormat::kHyb:
-      trace_fn = [&](const sparse::RowBlock& block, cache::Hierarchy& h, cache::Tlb* tlb,
-                     double& cycles) {
-        const FormatTraceResult r = run_hyb_trace(matrix, block, 0.33, h, tlb);
-        cycles = k.cycles_per_ell_slot * r.executed_elements +
-                 k.cycles_per_row * r.rows_iterated;
-        return r.trace;
-      };
-      break;
-  }
-  return run_generic(matrix, cores, spec.forced_hops, spec.recorder, trace_fn);
+  return replay(matrix, spec, cores);
 }
 
-RunResult Engine::run(const sparse::CsrMatrix& matrix, int ue_count, chip::MappingPolicy policy,
-                      SpmvVariant variant) const {
-  RunSpec spec;
-  spec.ue_count = ue_count;
-  spec.policy = policy;
-  spec.variant = variant;
-  return run(matrix, spec);
-}
-
-RunResult Engine::run_on_cores(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                               SpmvVariant variant) const {
-  // An empty RunSpec::cores means "map by policy"; for this wrapper an empty
-  // explicit core set has always been a contract violation.
-  SCC_REQUIRE(!cores.empty(), "run_on_cores requires at least one core");
-  RunSpec spec;
-  spec.cores = cores;
-  spec.variant = variant;
-  return run(matrix, spec);
-}
-
-RunResult Engine::run_single_core_at_hops(const sparse::CsrMatrix& matrix, int hops,
-                                          SpmvVariant variant) const {
-  SCC_REQUIRE(hops >= 0 && hops <= 3, "the default quadrant assignment has hop distances 0..3");
-  RunSpec spec;
-  spec.cores = {0};
-  spec.forced_hops = hops;
-  spec.variant = variant;
-  return run(matrix, spec);
-}
-
-RunResult Engine::run_format(const sparse::CsrMatrix& matrix, int ue_count,
-                             chip::MappingPolicy policy, StorageFormat format) const {
-  RunSpec spec;
-  spec.ue_count = ue_count;
-  spec.policy = policy;
-  spec.format = format;
-  return run(matrix, spec);
-}
-
-DegradedRunResult Engine::run_degraded(const sparse::CsrMatrix& matrix, int ue_count,
-                                       chip::MappingPolicy policy,
-                                       const std::vector<int>& dead_ranks,
-                                       double detection_seconds, SpmvVariant variant) const {
-  RunSpec spec;
-  spec.ue_count = ue_count;
-  spec.policy = policy;
-  spec.variant = variant;
-  spec.dead_ranks = dead_ranks;
-  spec.detection_seconds = detection_seconds;
-  return run_degraded_impl(matrix, spec, chip::map_ues_to_cores(policy, ue_count));
-}
-
-DegradedRunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix,
-                                            const RunSpec& spec,
-                                            const std::vector<int>& cores) const {
+RunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                                    const std::vector<int>& cores) const {
   SCC_REQUIRE(spec.detection_seconds >= 0.0, "detection_seconds must be non-negative");
   // Rank k runs on cores[k], so the rank space is the core table's size
   // (identical to spec.ue_count on the policy-mapped path).
@@ -288,13 +192,11 @@ DegradedRunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix,
     if (!dead.contains(rank)) survivor_cores.push_back(cores[static_cast<std::size_t>(rank)]);
   }
 
-  DegradedRunResult degraded;
-  degraded.dead_count = static_cast<int>(dead.size());
   // The survivors redo the whole product over the re-balanced partition (the
   // paper's partitioner splits by nnz, so this equals a fresh run on the
   // surviving cores).
-  degraded.result =
-      run_impl(matrix, survivor_cores, spec.variant, /*forced_hops=*/-1, spec.recorder);
+  RunResult result = replay(matrix, spec, survivor_cores);
+  result.dead_count = static_cast<int>(dead.size());
 
   // Recovery cost: each dead block's CSR slice (rebased ptr + col + val) is
   // re-shipped from the matrix owner through the memory controllers, after
@@ -303,21 +205,21 @@ DegradedRunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix,
   const auto blocks = sparse::partition_rows_balanced_nnz(matrix, ue_count);
   for (int rank : dead) {
     const sparse::RowBlock& b = blocks[static_cast<std::size_t>(rank)];
-    degraded.reshipped_bytes +=
+    result.reshipped_bytes +=
         static_cast<bytes_t>(b.row_count() + 1) * sizeof(nnz_t) +
         static_cast<bytes_t>(b.nnz) * (sizeof(index_t) + sizeof(real_t));
   }
-  degraded.recovery_seconds =
-      spec.detection_seconds * static_cast<double>(degraded.dead_count) +
-      static_cast<double>(degraded.reshipped_bytes) / mc_bandwidth_bytes_per_second();
-  degraded.seconds = degraded.result.seconds + degraded.recovery_seconds;
-  degraded.gflops = 2.0 * static_cast<double>(matrix.nnz()) / degraded.seconds / 1e9;
+  result.recovery_seconds =
+      spec.detection_seconds * static_cast<double>(result.dead_count) +
+      static_cast<double>(result.reshipped_bytes) / mc_bandwidth_bytes_per_second();
+  result.seconds += result.recovery_seconds;
+  result.gflops = 2.0 * static_cast<double>(matrix.nnz()) / result.seconds / 1e9;
   if (spec.recorder != nullptr) {
     spec.recorder->metrics().counter("engine.dead_ranks").add(
-        static_cast<std::uint64_t>(degraded.dead_count));
-    spec.recorder->metrics().counter("engine.reshipped_bytes").add(degraded.reshipped_bytes);
+        static_cast<std::uint64_t>(result.dead_count));
+    spec.recorder->metrics().counter("engine.reshipped_bytes").add(result.reshipped_bytes);
   }
-  return degraded;
+  return result;
 }
 
 std::string to_string(StorageFormat format) {
@@ -356,25 +258,8 @@ std::string to_string(SpmvVariant variant) {
   return "unknown";
 }
 
-RunResult Engine::run_impl(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                           SpmvVariant variant, int forced_hops,
-                           obs::Recorder* recorder) const {
-  const KernelCostModel& k = config_.kernel;
-  TraceFn trace_fn = [&](const sparse::RowBlock& block, cache::Hierarchy& hierarchy,
-                         cache::Tlb* tlb, double& cycles) {
-    const TraceResult trace = run_spmv_trace(matrix, block, variant, hierarchy, tlb);
-    cycles = k.cycles_per_nnz * static_cast<double>(trace.nnz) +
-             k.cycles_per_row * static_cast<double>(trace.rows);
-    return trace;
-  };
-  return run_generic(matrix, cores, forced_hops, recorder, trace_fn);
-}
-
-RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                              int forced_hops, obs::Recorder* recorder,
-                              const std::function<TraceResult(const sparse::RowBlock&,
-                                                              cache::Hierarchy&, cache::Tlb*,
-                                                              double&)>& trace_fn) const {
+RunResult Engine::replay(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                         const std::vector<int>& cores) const {
   SCC_REQUIRE(!cores.empty() && cores.size() <= static_cast<std::size_t>(chip::kCoreCount),
               "core set size " << cores.size() << " out of range [1,48]");
   std::set<int> unique(cores.begin(), cores.end());
@@ -385,7 +270,7 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
 
   std::vector<sparse::RowBlock> blocks;
   {
-    obs::ScopedSpan span(recorder, "engine.partition");
+    obs::ScopedSpan span(spec.recorder, "engine.partition");
     blocks = sparse::partition_rows_balanced_nnz(matrix, static_cast<int>(cores.size()));
   }
 
@@ -411,24 +296,29 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
   // its own result slot, so ranks are independent: safe to run on any thread,
   // and the collected output is identical for any thread count. Everything
   // cross-rank (mc_bytes, mesh traffic, metrics) is accumulated serially
-  // below from the per-rank results.
+  // below from the per-rank results. The replay returns raw counts; the
+  // cost table prices them.
+  const double cycles_per_element = element_cycles(config_.kernel, spec.format);
   const auto simulate_rank = [&](std::size_t rank) {
     const int core = cores[rank];
     CoreResult& cr = result.cores[rank];
     cr.core = core;
-    cr.hops = forced_hops >= 0 ? forced_hops : chip::hops_to_memory(core);
+    cr.hops = spec.forced_hops >= 0 ? spec.forced_hops : chip::hops_to_memory(core);
 
     cache::Hierarchy hierarchy(config_.hierarchy);
     cache::Tlb tlb;
     cache::Tlb* tlb_ptr = config_.memory.model_tlb ? &tlb : nullptr;
-    double compute_cycles = 0.0;
     if (warm_pass) {
       // Warm pass: caches and TLB keep their state; traces count per-call,
       // so the measured pass below reports steady-state numbers.
-      trace_fn(blocks[rank], hierarchy, tlb_ptr, compute_cycles);
+      trace_block(matrix, blocks[rank], spec.format, spec.variant, hierarchy, tlb_ptr);
       hierarchy.reset_stats();
     }
-    cr.trace = trace_fn(blocks[rank], hierarchy, tlb_ptr, compute_cycles);
+    const FormatTraceResult replayed =
+        trace_block(matrix, blocks[rank], spec.format, spec.variant, hierarchy, tlb_ptr);
+    cr.trace = replayed.trace;
+    const double compute_cycles = cycles_per_element * replayed.executed_elements +
+                                  config_.kernel.cycles_per_row * replayed.rows_iterated;
 
     const double core_hz = config_.freq.core_ghz(core) * 1e9;
     cr.compute_seconds = compute_cycles / core_hz;
@@ -443,6 +333,7 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
         cr.compute_seconds + cr.l2_hit_seconds + cr.stall_seconds + cr.tlb_seconds;
   };
 
+  obs::Recorder* recorder = spec.recorder;
   std::optional<obs::ScopedSpan> replay_span;
   replay_span.emplace(recorder, "engine.trace_replay");
   if (recorder == nullptr) {
@@ -483,7 +374,7 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
   // Mesh-link accounting: read fills travel MC -> core, writebacks the other
   // way, both along the XY route (forced-hop single-core experiments have no
   // physical route, so they are skipped).
-  if (forced_hops < 0) {
+  if (spec.forced_hops < 0) {
     noc::Mesh mesh(chip::kMeshWidth, chip::kMeshHeight);
     for (const CoreResult& cr : result.cores) {
       const int mc = chip::memory_controller_of_core(cr.core);

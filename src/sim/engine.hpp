@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,17 +23,13 @@
 #include "scc/latency.hpp"
 #include "scc/mapping.hpp"
 #include "sim/config.hpp"
-#include "sim/spmv_trace.hpp"
+#include "sim/format_traces.hpp"
 
 namespace scc::obs {
 class Recorder;
 }
 
 namespace scc::sim {
-
-/// Storage formats the engine can replay (the format-study extension: the
-/// CSR baseline vs. the optimized layouts of the paper's references [9]/[11]).
-enum class StorageFormat { kCsr, kEll, kBcsr2, kBcsr4, kHyb };
 
 /// Row-schedule reorderings the engine can apply before partitioning.
 /// kRcmRows permutes only the row order (reverse Cuthill-McKee schedule;
@@ -50,10 +45,15 @@ std::string to_string(SpmvVariant variant);
 /// Everything that parameterizes one simulated run, bundled so the engine
 /// has a single entry point. Core selection: `cores` (explicit rank->core
 /// table) when non-empty, otherwise `policy` applied to `ue_count`.
-/// `forced_hops >= 0` overrides every core's hop distance to memory (the
+/// `forced_hops` in 0..3 overrides every core's hop distance to memory (the
 /// Figure-3 experiment; mesh-link accounting is skipped because a forced
-/// hop count has no physical route). Non-empty `dead_ranks` switches to the
-/// degraded protocol of run_degraded; it composes with either core
+/// hop count has no physical route); -1 keeps the real distances.
+/// Non-empty `dead_ranks` switches to the degraded protocol: those ranks
+/// fail permanently, their nnz-balanced row blocks are repartitioned over
+/// the survivors, and the recovery pays one `detection_seconds` watchdog
+/// window per dead rank plus the re-shipping of the dead blocks' CSR data
+/// through the MCs. It needs CSR, no forced hops, at least one survivor and
+/// a live rank 0 (the matrix owner), and composes with either core
 /// selection (rank k dies on `cores[k]` when an explicit table is given).
 /// `recorder`, when set, receives
 /// per-phase spans and metrics (see docs/OBSERVABILITY.md); it never
@@ -121,9 +121,9 @@ struct RunResult {
   MeshTraffic mesh;
 
   // Degraded-run accounting (zero on healthy runs).
-  int dead_count = 0;
-  bytes_t reshipped_bytes = 0;
-  double recovery_seconds = 0.0;
+  int dead_count = 0;             ///< UEs removed from the run
+  bytes_t reshipped_bytes = 0;    ///< CSR bytes of the dead ranks' blocks
+  double recovery_seconds = 0.0;  ///< detection + re-distribution overhead
 
   // ABFT verification accounting (defaults when RunSpec::verify is kOff and
   // the SDC plan is empty). `seconds`/`gflops` include the verification and
@@ -141,17 +141,6 @@ struct RunResult {
   double mflops() const { return gflops * 1000.0; }
 };
 
-/// Outcome of a degraded run: the survivors absorb the dead ranks' rows and
-/// pay a recovery cost for re-shipping the repartitioned CSR blocks.
-struct DegradedRunResult {
-  RunResult result;               ///< simulated run on the surviving cores
-  int dead_count = 0;             ///< UEs removed from the run
-  bytes_t reshipped_bytes = 0;    ///< CSR bytes of the repartitioned blocks
-  double recovery_seconds = 0.0;  ///< detection + re-distribution overhead
-  double seconds = 0.0;           ///< result.seconds + recovery_seconds
-  double gflops = 0.0;            ///< effective GFLOPS including recovery
-};
-
 class RunCache;
 
 class Engine {
@@ -160,8 +149,11 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
 
-  /// THE entry point: simulate y = A*x under `spec`. Every other run_*
-  /// signature is a thin wrapper kept for source compatibility.
+  /// The one entry point: simulate y = A*x under `spec`.
+  ///
+  /// Each rank's replay returns raw counts (FormatTraceResult); compute
+  /// cycles are priced afterwards from one per-format cost table (MODEL.md
+  /// section 6), so every format shares the same aggregation pipeline.
   ///
   /// Performance (MODEL.md section 7): the per-rank trace replay fans out
   /// over a host thread pool sized by SCC_SIM_THREADS
@@ -180,48 +172,10 @@ class Engine {
   /// run key includes the engine configuration.
   void attach_run_cache(std::shared_ptr<RunCache> cache) { run_cache_ = std::move(cache); }
 
-  /// DEPRECATED wrapper (use the std::shared_ptr overload): attaches
-  /// `cache` non-owning; the caller must keep it alive past the last run.
-  void attach_run_cache(RunCache* cache);
-
   RunCache* run_cache() const { return run_cache_.get(); }
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec)): `ue_count` UEs mapped
-  /// by `policy`.
-  RunResult run(const sparse::CsrMatrix& matrix, int ue_count, chip::MappingPolicy policy,
-                SpmvVariant variant = SpmvVariant::kCsr) const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `cores`): simulate
-  /// on an explicit core set (rank k on cores[k]).
-  RunResult run_on_cores(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                         SpmvVariant variant = SpmvVariant::kCsr) const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `forced_hops`):
-  /// single-core run with a forced hop distance to memory -- the paper's
-  /// Figure 3 sweep over cores 0..3 hops from their controller.
-  RunResult run_single_core_at_hops(const sparse::CsrMatrix& matrix, int hops,
-                                    SpmvVariant variant = SpmvVariant::kCsr) const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `format`): simulate
-  /// the same product with an alternative storage format (the kernel
-  /// structure and per-element costs change with the layout; the
-  /// partitioning stays the paper's row-wise nnz balance).
-  RunResult run_format(const sparse::CsrMatrix& matrix, int ue_count,
-                       chip::MappingPolicy policy, StorageFormat format) const;
 
   /// Sustainable bandwidth of one memory controller under this config.
   double mc_bandwidth_bytes_per_second() const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `dead_ranks`).
-  /// Timing-model counterpart of the resilient RCCE SpMV: `dead_ranks` UEs
-  /// fail permanently, their nnz-balanced row blocks are repartitioned over
-  /// the survivors, and the recovery pays one watchdog detection window plus
-  /// the re-shipping of the dead blocks' CSR data through the MCs. Requires
-  /// at least one survivor; rank 0 (the matrix owner) must not be dead.
-  DegradedRunResult run_degraded(const sparse::CsrMatrix& matrix, int ue_count,
-                                 chip::MappingPolicy policy, const std::vector<int>& dead_ranks,
-                                 double detection_seconds = 0.001,
-                                 SpmvVariant variant = SpmvVariant::kCsr) const;
 
  private:
   RunResult run_uncached(const sparse::CsrMatrix& matrix, const RunSpec& spec,
@@ -230,15 +184,14 @@ class Engine {
   /// check and its pricing on top.
   RunResult run_unverified(const sparse::CsrMatrix& matrix, const RunSpec& spec,
                            const std::vector<int>& cores) const;
-  DegradedRunResult run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSpec& spec,
-                                      const std::vector<int>& cores) const;
-  RunResult run_impl(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                     SpmvVariant variant, int forced_hops, obs::Recorder* recorder) const;
-  RunResult run_generic(
-      const sparse::CsrMatrix& matrix, const std::vector<int>& cores, int forced_hops,
-      obs::Recorder* recorder,
-      const std::function<TraceResult(const sparse::RowBlock&, cache::Hierarchy&, cache::Tlb*,
-                                      double&)>& trace_fn) const;
+  /// The survivors of `spec.dead_ranks` replay the whole product; the
+  /// recovery cost is folded into the result.
+  RunResult run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                              const std::vector<int>& cores) const;
+  /// Replay every rank of `cores` under the spec's format, variant and
+  /// forced hops, then aggregate contention, mesh traffic and the barrier.
+  RunResult replay(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                   const std::vector<int>& cores) const;
 
   EngineConfig config_;
   std::shared_ptr<RunCache> run_cache_;

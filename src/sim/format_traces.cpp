@@ -176,4 +176,25 @@ FormatTraceResult run_hyb_trace(const sparse::CsrMatrix& matrix, const sparse::R
   return out;
 }
 
+FormatTraceResult trace_block(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
+                              StorageFormat format, SpmvVariant variant,
+                              cache::Hierarchy& hierarchy, cache::Tlb* tlb) {
+  switch (format) {
+    case StorageFormat::kCsr: {
+      const TraceResult trace = run_spmv_trace(matrix, block, variant, hierarchy, tlb);
+      return {trace, static_cast<double>(trace.nnz), static_cast<double>(trace.rows)};
+    }
+    case StorageFormat::kEll:
+      return run_ell_trace(matrix, block, hierarchy, tlb);
+    case StorageFormat::kBcsr2:
+      return run_bcsr_trace(matrix, block, 2, hierarchy, tlb);
+    case StorageFormat::kBcsr4:
+      return run_bcsr_trace(matrix, block, 4, hierarchy, tlb);
+    case StorageFormat::kHyb:
+      return run_hyb_trace(matrix, block, 0.33, hierarchy, tlb);
+  }
+  SCC_ASSERT(false, "unknown storage format " << static_cast<int>(format));
+  return {};
+}
+
 }  // namespace scc::sim

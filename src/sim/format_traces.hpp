@@ -20,6 +20,10 @@
 
 namespace scc::sim {
 
+/// Storage formats the engine can replay (the format-study extension: the
+/// CSR baseline vs. the optimized layouts of the paper's references [9]/[11]).
+enum class StorageFormat { kCsr, kEll, kBcsr2, kBcsr4, kHyb };
+
 /// Trace statistics common to every format, plus the format's element count
 /// (stored slots including padding/fill -- what the kernel actually
 /// executes over).
@@ -39,5 +43,13 @@ FormatTraceResult run_bcsr_trace(const sparse::CsrMatrix& matrix,
 FormatTraceResult run_hyb_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
                                 double spill_fraction, cache::Hierarchy& hierarchy,
                                 cache::Tlb* tlb);
+
+/// The engine's one replay dispatch: the reference stream of `block` in
+/// `format` through the core's TLB + caches, as raw counts. CSR replays
+/// `variant` and reports {trace, nnz, rows}; the other formats take the CSR
+/// kernel only, and HYB spills at the Bell-Garland budget of 0.33.
+FormatTraceResult trace_block(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
+                              StorageFormat format, SpmvVariant variant,
+                              cache::Hierarchy& hierarchy, cache::Tlb* tlb);
 
 }  // namespace scc::sim

@@ -84,7 +84,6 @@ struct RunCacheConfig {
 
 class RunCache {
  public:
-  static constexpr std::size_t kDefaultCapacity = 128;
   /// Snapshot format version; bumped whenever RunKey/RunResult layout or
   /// the file framing changes, so stale files are rejected, never misread.
   /// v2: RunKey covers RunSpec::reorder and every entry carries a
@@ -93,11 +92,9 @@ class RunCache {
   /// verification is live) and RunResult carries the ABFT fields.
   static constexpr std::uint32_t kSnapshotVersion = 3;
 
-  explicit RunCache(const RunCacheConfig& config);
-
-  /// DEPRECATED wrapper (use RunCache(RunCacheConfig)): capacity-only
-  /// construction with automatic sharding, kept for source compatibility.
-  explicit RunCache(std::size_t capacity = kDefaultCapacity);
+  /// Build the shards from `config` and, when it names a snapshot file,
+  /// load that file (a missing or invalid one leaves the cache empty).
+  explicit RunCache(const RunCacheConfig& config = {});
 
   ~RunCache();
   RunCache(const RunCache&) = delete;

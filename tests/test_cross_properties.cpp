@@ -19,13 +19,27 @@
 namespace scc {
 namespace {
 
+/// `ue_count` UEs placed by `policy`: the spec shape most tests here run.
+sim::RunSpec mapped(int ue_count, chip::MappingPolicy policy,
+                    sim::SpmvVariant variant = sim::SpmvVariant::kCsr) {
+  sim::RunSpec spec;
+  spec.ue_count = ue_count;
+  spec.policy = policy;
+  spec.variant = variant;
+  return spec;
+}
+
 TEST(CrossEngine, ForcedZeroHopsEqualsCoreZero) {
   // Core 0 sits on the MC tile (0 hops), so the forced-hops API at 0 must
   // reproduce a plain single-core run on core 0 exactly.
   sim::Engine engine;
   const auto m = gen::banded(20000, 10, 0.5, 1);
-  const auto forced = engine.run_single_core_at_hops(m, 0);
-  const auto natural = engine.run_on_cores(m, {0});
+  sim::RunSpec natural_spec;
+  natural_spec.cores = {0};
+  sim::RunSpec forced_spec = natural_spec;
+  forced_spec.forced_hops = 0;
+  const auto forced = engine.run(m, forced_spec);
+  const auto natural = engine.run(m, natural_spec);
   EXPECT_DOUBLE_EQ(forced.seconds, natural.seconds);
 }
 
@@ -34,8 +48,12 @@ TEST(CrossEngine, RuntimeRatioBoundedByLatencyRatio) {
   // Equation-1 latency ratio (compute dilutes, never amplifies).
   sim::Engine engine;
   const auto m = gen::random_uniform(30000, 10, 2);
-  const double t0 = engine.run_single_core_at_hops(m, 0).seconds;
-  const double t3 = engine.run_single_core_at_hops(m, 3).seconds;
+  sim::RunSpec spec;
+  spec.cores = {0};
+  spec.forced_hops = 0;
+  const double t0 = engine.run(m, spec).seconds;
+  spec.forced_hops = 3;
+  const double t3 = engine.run(m, spec).seconds;
   const auto freq = chip::FrequencyConfig::conf0();
   const double lat_ratio = chip::memory_latency_ns(freq, 0, 3) /
                            chip::memory_latency_ns(freq, 0, 0);
@@ -47,7 +65,7 @@ TEST(CrossEngine, PerCoreNnzMatchesPartition) {
   sim::Engine engine;
   const auto m = gen::power_law(10000, 8, 1.2, 3);
   const auto blocks = sparse::partition_rows_balanced_nnz(m, 12);
-  const auto r = engine.run(m, 12, chip::MappingPolicy::kStandard);
+  const auto r = engine.run(m, mapped(12, chip::MappingPolicy::kStandard));
   ASSERT_EQ(r.cores.size(), 12u);
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(r.cores[i].trace.nnz, blocks[i].nnz) << i;
@@ -58,7 +76,7 @@ TEST(CrossEngine, PerCoreNnzMatchesPartition) {
 TEST(CrossEngine, HopsFieldMatchesTopology) {
   sim::Engine engine;
   const auto m = gen::banded(5000, 5, 0.5, 4);
-  const auto r = engine.run(m, 48, chip::MappingPolicy::kStandard);
+  const auto r = engine.run(m, mapped(48, chip::MappingPolicy::kStandard));
   for (const auto& cr : r.cores) {
     EXPECT_EQ(cr.hops, chip::hops_to_memory(cr.core));
   }
@@ -87,7 +105,7 @@ TEST(CrossNoc, RouteStepsAreUnitXYMoves) {
 TEST(CrossNoc, EngineMeshTotalEqualsPerCoreHopWeightedBytes) {
   sim::Engine engine;
   const auto m = gen::random_uniform(20000, 8, 5);
-  const auto r = engine.run(m, 16, chip::MappingPolicy::kStandard);
+  const auto r = engine.run(m, mapped(16, chip::MappingPolicy::kStandard));
   bytes_t expected = 0;
   for (const auto& cr : r.cores) {
     expected += static_cast<bytes_t>(cr.hops) *
@@ -136,13 +154,10 @@ TEST(CrossLocality, LineReusePredictsNoXMissSpeedupDirection) {
   sim::Engine engine;
   const auto local = gen::banded(20000, 8, 0.8, 7);
   const auto scattered = gen::random_uniform(20000, 8, 7);
+  const auto dr = chip::MappingPolicy::kDistanceReduction;
   auto speedup = [&](const sparse::CsrMatrix& m) {
-    const double base =
-        engine.run(m, 8, chip::MappingPolicy::kDistanceReduction, sim::SpmvVariant::kCsr)
-            .seconds;
-    const double noxm = engine.run(m, 8, chip::MappingPolicy::kDistanceReduction,
-                                   sim::SpmvVariant::kCsrNoXMiss)
-                            .seconds;
+    const double base = engine.run(m, mapped(8, dr, sim::SpmvVariant::kCsr)).seconds;
+    const double noxm = engine.run(m, mapped(8, dr, sim::SpmvVariant::kCsrNoXMiss)).seconds;
     return base / noxm;
   };
   ASSERT_GT(sparse::x_line_reuse_fraction(local), sparse::x_line_reuse_fraction(scattered));
@@ -175,7 +190,7 @@ TEST(CrossArchcmp, SccSimulationLandsBetweenItaniumAndXeon) {
   sim::Engine engine;
   const auto m = gen::banded(40000, 20, 0.5, 8);  // a mid-size suite-like load
   const double scc =
-      engine.run(m, 48, chip::MappingPolicy::kDistanceReduction).gflops;
+      engine.run(m, mapped(48, chip::MappingPolicy::kDistanceReduction)).gflops;
   EXPECT_GT(scc, archcmp::predicted_spmv_gflops(archcmp::machine_by_name("Itanium2 Montvale")) *
                      0.5);
   EXPECT_LT(scc, archcmp::predicted_spmv_gflops(archcmp::machine_by_name("Xeon X5570")));

@@ -16,6 +16,16 @@
 namespace scc {
 namespace {
 
+/// `ue_count` UEs placed by `policy`: the spec shape most tests here run.
+sim::RunSpec mapped(int ue_count, chip::MappingPolicy policy,
+                    sim::SpmvVariant variant = sim::SpmvVariant::kCsr) {
+  sim::RunSpec spec;
+  spec.ue_count = ue_count;
+  spec.policy = policy;
+  spec.variant = variant;
+  return spec;
+}
+
 constexpr double kScale = 0.05;
 
 class Integration : public ::testing::Test {
@@ -42,10 +52,13 @@ TEST_F(Integration, Fig3MechanismHopDegradationOnSuite) {
   // distance across the suite (small-scale Fig 3).
   sim::Engine engine;
   std::vector<double> perf_by_hops;
+  sim::RunSpec spec;
+  spec.cores = {0};
   for (int hops = 0; hops <= 3; ++hops) {
+    spec.forced_hops = hops;
     std::vector<double> gflops;
     for (const auto& e : *suite_) {
-      gflops.push_back(engine.run_single_core_at_hops(e.matrix, hops).gflops);
+      gflops.push_back(engine.run(e.matrix, spec).gflops);
     }
     perf_by_hops.push_back(mean(gflops));
   }
@@ -59,8 +72,8 @@ TEST_F(Integration, Fig5MechanismDistanceReductionWins) {
   // and mapping cannot matter, so use one full-size irregular matrix.
   sim::Engine engine;
   const auto m = gen::random_uniform(60000, 10, 99);
-  const double t_std = engine.run(m, 24, chip::MappingPolicy::kStandard).seconds;
-  const double t_dr = engine.run(m, 24, chip::MappingPolicy::kDistanceReduction).seconds;
+  const double t_std = engine.run(m, mapped(24, chip::MappingPolicy::kStandard)).seconds;
+  const double t_dr = engine.run(m, mapped(24, chip::MappingPolicy::kDistanceReduction)).seconds;
   EXPECT_GT(t_std / t_dr, 1.0);
 }
 
@@ -73,10 +86,11 @@ TEST_F(Integration, Fig7MechanismL2MattersMoreWithMoreCores) {
   auto ratio_at = [&](int cores) {
     std::vector<double> ratios;
     for (const auto& e : *suite_) {
-      const double a = e_with.run(e.matrix, cores, chip::MappingPolicy::kDistanceReduction)
+      const double a =
+          e_with.run(e.matrix, mapped(cores, chip::MappingPolicy::kDistanceReduction))
                            .gflops;
       const double b =
-          e_without.run(e.matrix, cores, chip::MappingPolicy::kDistanceReduction).gflops;
+          e_without.run(e.matrix, mapped(cores, chip::MappingPolicy::kDistanceReduction)).gflops;
       ratios.push_back(b / a);
     }
     return mean(ratios);
@@ -91,13 +105,11 @@ TEST_F(Integration, Fig8MechanismIrregularMatricesGainMost) {
   // (narrow banded, id 29).
   const auto& irregular = (*suite_)[13];
   const auto& regular = (*suite_)[28];
+  const auto dr = chip::MappingPolicy::kDistanceReduction;
   auto speedup = [&](const testbed::SuiteEntry& e) {
-    const double base = engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction,
-                                   sim::SpmvVariant::kCsr)
-                            .seconds;
-    const double noxm = engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction,
-                                   sim::SpmvVariant::kCsrNoXMiss)
-                            .seconds;
+    const double base = engine.run(e.matrix, mapped(8, dr, sim::SpmvVariant::kCsr)).seconds;
+    const double noxm =
+        engine.run(e.matrix, mapped(8, dr, sim::SpmvVariant::kCsrNoXMiss)).seconds;
     return base / noxm;
   };
   EXPECT_GT(speedup(irregular), speedup(regular));
@@ -111,9 +123,12 @@ TEST_F(Integration, Fig9MechanismConf1FastestAndMostEfficient) {
   // Full-size irregular matrix: the tiny suite scale is fully cached and
   // the memory-clock distinction between conf1 and conf2 would vanish.
   const auto m = gen::random_uniform(60000, 10, 98);
-  const double g0 = sim::Engine(c0).run(m, 8, chip::MappingPolicy::kDistanceReduction).gflops;
-  const double g1 = sim::Engine(c1).run(m, 8, chip::MappingPolicy::kDistanceReduction).gflops;
-  const double g2 = sim::Engine(c2).run(m, 8, chip::MappingPolicy::kDistanceReduction).gflops;
+  const double g0 =
+      sim::Engine(c0).run(m, mapped(8, chip::MappingPolicy::kDistanceReduction)).gflops;
+  const double g1 =
+      sim::Engine(c1).run(m, mapped(8, chip::MappingPolicy::kDistanceReduction)).gflops;
+  const double g2 =
+      sim::Engine(c2).run(m, mapped(8, chip::MappingPolicy::kDistanceReduction)).gflops;
   EXPECT_GT(g1, g2);
   EXPECT_GT(g2, g0);
 
@@ -139,7 +154,7 @@ TEST_F(Integration, RcceSpmvAgreesWithSimPartitioning) {
 TEST_F(Integration, EngineHandlesEverySuiteMatrix) {
   sim::Engine engine;
   for (const auto& e : *suite_) {
-    const auto r = engine.run(e.matrix, 4, chip::MappingPolicy::kDistanceReduction);
+    const auto r = engine.run(e.matrix, mapped(4, chip::MappingPolicy::kDistanceReduction));
     EXPECT_GT(r.gflops, 0.0) << e.name;
   }
 }

@@ -521,13 +521,6 @@ TEST(ServeScheduler, PreferredCoresOverrideRoundsUpTheLadderUnderMatrixAware) {
   EXPECT_EQ(fifo.try_allocate(tiny, 5).size(), 48u);
 }
 
-TEST(ServeMatrixPool, DeprecatedBoolOverloadStillForwards) {
-  const MatrixPool with_cache(kTestScale, true);
-  EXPECT_NE(with_cache.run_cache(), nullptr);
-  const MatrixPool without(kTestScale, false);
-  EXPECT_EQ(without.run_cache(), nullptr);
-}
-
 TEST(ServeMatrixPool, TuningCacheIsLazyAndShared) {
   MatrixPool pool(kTestScale);
   tune::TuningCacheConfig config;

@@ -6,6 +6,7 @@
 
 #include "gen/generators.hpp"
 #include "sim/engine.hpp"
+#include "sparse/partition.hpp"
 
 namespace scc::sim {
 namespace {
@@ -143,16 +144,67 @@ TEST(FormatTraces, BlocksOutOfRangeRejected) {
   EXPECT_THROW(run_hyb_trace(m, bad, 0.3, h, nullptr), std::invalid_argument);
 }
 
+void expect_same_counts(const FormatTraceResult& a, const FormatTraceResult& b) {
+  EXPECT_EQ(a.trace.l1.hits(), b.trace.l1.hits());
+  EXPECT_EQ(a.trace.l1.misses(), b.trace.l1.misses());
+  EXPECT_EQ(a.trace.l2.misses(), b.trace.l2.misses());
+  EXPECT_EQ(a.trace.memory_accesses, b.trace.memory_accesses);
+  EXPECT_EQ(a.trace.l2_hit_accesses, b.trace.l2_hit_accesses);
+  EXPECT_EQ(a.trace.memory_read_bytes, b.trace.memory_read_bytes);
+  EXPECT_EQ(a.trace.memory_write_bytes, b.trace.memory_write_bytes);
+  EXPECT_EQ(a.trace.tlb_misses, b.trace.tlb_misses);
+  EXPECT_EQ(a.trace.rows, b.trace.rows);
+  EXPECT_EQ(a.trace.nnz, b.trace.nnz);
+  EXPECT_EQ(a.executed_elements, b.executed_elements);
+  EXPECT_EQ(a.rows_iterated, b.rows_iterated);
+}
+
+/// 8 distance-reduction-mapped UEs replaying `format`.
+RunSpec format_spec(StorageFormat format) {
+  RunSpec spec;
+  spec.ue_count = 8;
+  spec.policy = chip::MappingPolicy::kDistanceReduction;
+  spec.format = format;
+  return spec;
+}
+
 TEST(EngineFormats, CsrPassthroughMatchesRun) {
-  const Engine engine;
+  // The CSR branch of the engine's replay dispatch is the paper's kernel
+  // trace, counting every nonzero as an executed element and every row as a
+  // loop trip.
   const auto m = gen::banded(5000, 10, 0.5, 6);
-  const double a =
-      engine.run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double b =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction,
-                        StorageFormat::kCsr)
-          .seconds;
-  EXPECT_DOUBLE_EQ(a, b);
+  for (const auto variant : {SpmvVariant::kCsr, SpmvVariant::kCsrNoXMiss}) {
+    auto h1 = fresh_hierarchy();
+    auto h2 = fresh_hierarchy();
+    cache::Tlb t1;
+    cache::Tlb t2;
+    const TraceResult csr = run_spmv_trace(m, whole(m), variant, h1, &t1);
+    const FormatTraceResult dispatched =
+        trace_block(m, whole(m), StorageFormat::kCsr, variant, h2, &t2);
+    expect_same_counts(dispatched, {csr, static_cast<double>(m.nnz()),
+                                    static_cast<double>(m.rows())});
+  }
+}
+
+TEST(EngineFormats, TraceBlockDispatchesEveryFormat) {
+  const auto m = gen::power_law(3000, 8, 1.2, 7);
+  const sparse::RowBlock block = sparse::partition_rows_balanced_nnz(m, 3)[1];
+  for (auto format : {StorageFormat::kEll, StorageFormat::kBcsr2, StorageFormat::kBcsr4,
+                      StorageFormat::kHyb}) {
+    auto h1 = fresh_hierarchy();
+    auto h2 = fresh_hierarchy();
+    cache::Tlb t1;
+    cache::Tlb t2;
+    FormatTraceResult direct;
+    switch (format) {
+      case StorageFormat::kEll: direct = run_ell_trace(m, block, h1, &t1); break;
+      case StorageFormat::kBcsr2: direct = run_bcsr_trace(m, block, 2, h1, &t1); break;
+      case StorageFormat::kBcsr4: direct = run_bcsr_trace(m, block, 4, h1, &t1); break;
+      default: direct = run_hyb_trace(m, block, 0.33, h1, &t1); break;
+    }
+    SCOPED_TRACE(to_string(format));
+    expect_same_counts(trace_block(m, block, format, SpmvVariant::kCsr, h2, &t2), direct);
+  }
 }
 
 TEST(EngineFormats, AllFormatsProducePositivePerformance) {
@@ -160,7 +212,7 @@ TEST(EngineFormats, AllFormatsProducePositivePerformance) {
   const auto m = gen::power_law(3000, 8, 1.2, 7);
   for (auto format : {StorageFormat::kCsr, StorageFormat::kEll, StorageFormat::kBcsr2,
                       StorageFormat::kBcsr4, StorageFormat::kHyb}) {
-    const auto r = engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, format);
+    const auto r = engine.run(m, format_spec(format));
     EXPECT_GT(r.gflops, 0.0) << to_string(format);
   }
 }
@@ -168,24 +220,16 @@ TEST(EngineFormats, AllFormatsProducePositivePerformance) {
 TEST(EngineFormats, EllPenalizedOnSkewedRows) {
   const Engine engine;
   const auto m = gen::power_law(5000, 12, 0.9, 8);  // heavy-tailed rows
-  const double csr =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kCsr)
-          .gflops;
-  const double ell =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kEll)
-          .gflops;
+  const double csr = engine.run(m, format_spec(StorageFormat::kCsr)).gflops;
+  const double ell = engine.run(m, format_spec(StorageFormat::kEll)).gflops;
   EXPECT_LT(ell, csr);
 }
 
 TEST(EngineFormats, BcsrWinsOnPerfectBlocks) {
   const Engine engine;
   auto m = gen::fem_blocks(3000, 4, 0, 9);  // pure 4x4 blocks, ~192k nnz
-  const double csr =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kCsr)
-          .gflops;
-  const double bcsr =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kBcsr4)
-          .gflops;
+  const double csr = engine.run(m, format_spec(StorageFormat::kCsr)).gflops;
+  const double bcsr = engine.run(m, format_spec(StorageFormat::kBcsr4)).gflops;
   EXPECT_GT(bcsr, csr);
 }
 

@@ -38,6 +38,12 @@ RunResult stub_result(double seconds) {
   return r;
 }
 
+RunCacheConfig with_capacity(std::size_t capacity) {
+  RunCacheConfig config;
+  config.capacity = capacity;
+  return config;
+}
+
 TEST(RunKey, PolicyAndExplicitCoresShareAnEntry) {
   const auto m = test_matrix();
   const EngineConfig config;
@@ -147,19 +153,19 @@ TEST(RunKey, CorruptedRunNeverServedFromCleanEntryEitherOrder) {
   other_site.sdc_site = 99;
 
   Engine engine;
-  RunCache cache;
-  engine.attach_run_cache(&cache);
+  const auto cache = std::make_shared<RunCache>();
+  engine.attach_run_cache(cache);
   const RunResult a = engine.run(m, clean);
   const RunResult b = engine.run(m, corrupted);
   const RunResult c = engine.run(m, other_site);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache->misses(), 3u);
+  EXPECT_EQ(cache->hits(), 0u);
   EXPECT_EQ(a.outcome, integrity::Outcome::kClean);
   EXPECT_NE(b.outcome, integrity::Outcome::kClean);
   // Replays hit their own entries with identical classifications.
   EXPECT_EQ(engine.run(m, corrupted).outcome, b.outcome);
   EXPECT_EQ(engine.run(m, other_site).seconds, c.seconds);
-  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache->hits(), 2u);
 }
 
 TEST(RunKey, EngineConfigAndMatrixArePartOfTheKey) {
@@ -192,7 +198,7 @@ TEST(RunKey, EngineConfigAndMatrixArePartOfTheKey) {
 }
 
 TEST(RunCache, LookupMissesThenHitsAndCounts) {
-  RunCache cache(4);
+  RunCache cache(with_capacity(4));
   const RunKey key{1, 2};
   EXPECT_FALSE(cache.lookup(key).has_value());
   cache.insert(key, stub_result(0.5));
@@ -205,7 +211,7 @@ TEST(RunCache, LookupMissesThenHitsAndCounts) {
 }
 
 TEST(RunCache, EvictsLeastRecentlyUsedAndLookupRefreshesRecency) {
-  RunCache cache(2);
+  RunCache cache(with_capacity(2));
   const RunKey k1{1, 0}, k2{2, 0}, k3{3, 0};
   cache.insert(k1, stub_result(1.0));
   cache.insert(k2, stub_result(2.0));
@@ -219,7 +225,7 @@ TEST(RunCache, EvictsLeastRecentlyUsedAndLookupRefreshesRecency) {
 }
 
 TEST(RunCache, CapacityBoundHoldsUnderManyInserts) {
-  RunCache cache(3);
+  RunCache cache(with_capacity(3));
   for (std::uint64_t i = 0; i < 50; ++i) {
     cache.insert(RunKey{i, i}, stub_result(static_cast<double>(i + 1)));
     EXPECT_LE(cache.size(), 3u);
@@ -233,7 +239,7 @@ TEST(RunCache, CapacityBoundHoldsUnderManyInserts) {
 }
 
 TEST(RunCache, ReinsertRefreshesInsteadOfDuplicating) {
-  RunCache cache(2);
+  RunCache cache(with_capacity(2));
   const RunKey key{7, 7};
   cache.insert(key, stub_result(1.0));
   cache.insert(key, stub_result(4.0));
@@ -241,13 +247,15 @@ TEST(RunCache, ReinsertRefreshesInsteadOfDuplicating) {
   EXPECT_EQ(cache.lookup(key)->seconds, 4.0);
 }
 
-TEST(RunCache, RejectsZeroCapacity) { EXPECT_THROW(RunCache cache(0), std::invalid_argument); }
+TEST(RunCache, RejectsZeroCapacity) {
+  EXPECT_THROW(RunCache cache(with_capacity(0)), std::invalid_argument);
+}
 
 TEST(RunCache, EngineHitIsBitExactVersusColdRun) {
   const auto m = test_matrix();
   Engine cached;
-  RunCache cache;
-  cached.attach_run_cache(&cache);
+  const auto cache = std::make_shared<RunCache>();
+  cached.attach_run_cache(cache);
   const Engine plain;
 
   RunSpec spec;
@@ -257,8 +265,8 @@ TEST(RunCache, EngineHitIsBitExactVersusColdRun) {
   const RunResult cold = cached.run(m, spec);   // miss, fills the cache
   const RunResult warm = cached.run(m, spec);   // hit, deep copy
   const RunResult truth = plain.run(m, spec);   // never memoized
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache->hits(), 1u);
+  EXPECT_EQ(cache->misses(), 1u);
 
   const std::string cold_json = run_report_json(cached, spec, cold).dump(2);
   EXPECT_EQ(cold_json, run_report_json(cached, spec, warm).dump(2));
@@ -269,8 +277,8 @@ TEST(RunCache, EngineHitIsBitExactVersusColdRun) {
 TEST(RunCache, DegradedRunsMemoizeUnderTheirOwnKey) {
   const auto m = test_matrix();
   Engine engine;
-  RunCache cache;
-  engine.attach_run_cache(&cache);
+  const auto cache = std::make_shared<RunCache>();
+  engine.attach_run_cache(cache);
 
   RunSpec healthy;
   healthy.ue_count = 4;
@@ -279,10 +287,10 @@ TEST(RunCache, DegradedRunsMemoizeUnderTheirOwnKey) {
 
   const RunResult h = engine.run(m, healthy);
   const RunResult d = engine.run(m, degraded);
-  EXPECT_EQ(cache.misses(), 2u);  // distinct keys, no false sharing
+  EXPECT_EQ(cache->misses(), 2u);  // distinct keys, no false sharing
   EXPECT_NE(h.seconds, d.seconds);
   EXPECT_EQ(engine.run(m, degraded).seconds, d.seconds);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache->hits(), 1u);
 }
 
 TEST(RunCache, DegradedRunNeverServedFromHealthyEntryEitherOrder) {
@@ -302,14 +310,14 @@ TEST(RunCache, DegradedRunNeverServedFromHealthyEntryEitherOrder) {
 
   for (const bool healthy_first : {true, false}) {
     Engine engine;
-    RunCache cache;
-    engine.attach_run_cache(&cache);
+    const auto cache = std::make_shared<RunCache>();
+    engine.attach_run_cache(cache);
     const RunResult first =
         engine.run(m, healthy_first ? healthy : degraded);
     const RunResult second =
         engine.run(m, healthy_first ? degraded : healthy);
-    EXPECT_EQ(cache.misses(), 2u) << "order healthy_first=" << healthy_first;
-    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache->misses(), 2u) << "order healthy_first=" << healthy_first;
+    EXPECT_EQ(cache->hits(), 0u);
     EXPECT_EQ((healthy_first ? first : second).seconds, healthy_truth.seconds);
     EXPECT_EQ((healthy_first ? second : first).seconds, degraded_truth.seconds);
   }
@@ -332,17 +340,17 @@ TEST(RunCache, ReorderedRunNeverServedFromUnreorderedEntryEitherOrder) {
 
   for (const bool plain_first : {true, false}) {
     Engine engine;
-    RunCache cache;
-    engine.attach_run_cache(&cache);
+    const auto cache = std::make_shared<RunCache>();
+    engine.attach_run_cache(cache);
     const RunResult first = engine.run(m, plain_first ? plain_spec : reordered);
     const RunResult second = engine.run(m, plain_first ? reordered : plain_spec);
-    EXPECT_EQ(cache.misses(), 2u) << "order plain_first=" << plain_first;
-    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache->misses(), 2u) << "order plain_first=" << plain_first;
+    EXPECT_EQ(cache->hits(), 0u);
     EXPECT_EQ((plain_first ? first : second).seconds, plain_truth.seconds);
     EXPECT_EQ((plain_first ? second : first).seconds, reordered_truth.seconds);
     // Replays hit their own entries bit-exactly.
     EXPECT_EQ(engine.run(m, reordered).seconds, reordered_truth.seconds);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache->hits(), 1u);
   }
 }
 
@@ -356,25 +364,25 @@ TEST(RunCache, ColdAndSteadyStateEnginesShareACacheWithoutCollisions) {
   EngineConfig cold_config;
   cold_config.measure_steady_state = false;
 
-  RunCache cache;
+  const auto cache = std::make_shared<RunCache>();
   Engine warm(warm_config);
   Engine cold(cold_config);
-  warm.attach_run_cache(&cache);
-  cold.attach_run_cache(&cache);
+  warm.attach_run_cache(cache);
+  cold.attach_run_cache(cache);
 
   RunSpec spec;
   spec.ue_count = 6;
   const RunResult w = warm.run(m, spec);
   const RunResult c = cold.run(m, spec);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache->misses(), 2u);
+  EXPECT_EQ(cache->hits(), 0u);
   // A cold first traversal is strictly slower than the steady-state window.
   EXPECT_GT(c.seconds, w.seconds);
   // Replays hit their own entries bit-exactly.
   EXPECT_EQ(warm.run(m, spec).seconds, w.seconds);
   EXPECT_EQ(cold.run(m, spec).seconds, c.seconds);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache->hits(), 2u);
+  EXPECT_EQ(cache->misses(), 2u);
 }
 
 // ---- Sharding ----

@@ -1,111 +1,81 @@
-// The api_redesign contract: every deprecated Engine entry point must be a
-// pure wrapper over Engine::run(matrix, RunSpec) -- same code path, so the
-// results (and their serialized reports) are byte-identical.
+// The RunSpec contract of Engine::run, the engine's one entry point: dead
+// ranks fold the degraded protocol's recovery into the RunResult, invalid
+// specs are rejected, and a recorder never changes the simulated numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "gen/generators.hpp"
 #include "obs/trace.hpp"
 #include "sim/engine.hpp"
-#include "sim/report.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/partition.hpp"
 
 namespace scc::sim {
 namespace {
 
 sparse::CsrMatrix test_matrix() { return gen::banded(800, 16, 0.5, 11); }
 
-// Byte-identical check: serialize both results against the same spec and
-// compare the JSON text verbatim.
-void expect_identical(const Engine& engine, const RunSpec& spec, const RunResult& legacy,
-                      const RunResult& unified) {
-  EXPECT_EQ(run_report_json(engine, spec, legacy).dump(2),
-            run_report_json(engine, spec, unified).dump(2));
-  EXPECT_EQ(legacy.seconds, unified.seconds);
-  EXPECT_EQ(legacy.gflops, unified.gflops);
-  EXPECT_EQ(legacy.bandwidth_bound, unified.bandwidth_bound);
-  ASSERT_EQ(legacy.cores.size(), unified.cores.size());
-  for (std::size_t i = 0; i < legacy.cores.size(); ++i) {
-    EXPECT_EQ(legacy.cores[i].core, unified.cores[i].core);
-    EXPECT_EQ(legacy.cores[i].isolated_seconds, unified.cores[i].isolated_seconds);
+/// Checks the degraded accounting of `spec` (non-empty dead_ranks over the
+/// rank -> core table `cores`) against a survivors-only run and the
+/// recovery formulas.
+void expect_recovery_folded(const Engine& engine, const sparse::CsrMatrix& m,
+                            const RunSpec& spec, const std::vector<int>& cores) {
+  const RunResult degraded = engine.run(m, spec);
+
+  RunSpec survivors;
+  for (std::size_t rank = 0; rank < cores.size(); ++rank) {
+    if (std::find(spec.dead_ranks.begin(), spec.dead_ranks.end(), static_cast<int>(rank)) ==
+        spec.dead_ranks.end()) {
+      survivors.cores.push_back(cores[rank]);
+    }
   }
-  EXPECT_EQ(legacy.mesh.total_link_bytes, unified.mesh.total_link_bytes);
-}
+  const RunResult healthy = engine.run(m, survivors);
 
-TEST(RunSpec, PolicyWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  for (const auto variant : {SpmvVariant::kCsr, SpmvVariant::kCsrNoXMiss}) {
-    RunSpec spec;
-    spec.ue_count = 24;
-    spec.policy = chip::MappingPolicy::kDistanceReduction;
-    spec.variant = variant;
-    expect_identical(engine, spec,
-                     engine.run(m, 24, chip::MappingPolicy::kDistanceReduction, variant),
-                     engine.run(m, spec));
+  // The survivors' replay is the degraded run's timing; recovery is added.
+  EXPECT_EQ(degraded.seconds, healthy.seconds + degraded.recovery_seconds);
+  EXPECT_EQ(degraded.gflops, 2.0 * static_cast<double>(m.nnz()) / degraded.seconds / 1e9);
+  ASSERT_EQ(degraded.cores.size(), healthy.cores.size());
+  for (std::size_t i = 0; i < degraded.cores.size(); ++i) {
+    EXPECT_EQ(degraded.cores[i].core, healthy.cores[i].core);
+    EXPECT_EQ(degraded.cores[i].isolated_seconds, healthy.cores[i].isolated_seconds);
   }
-}
 
-TEST(RunSpec, ExplicitCoresWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  const std::vector<int> cores = {0, 5, 17, 40};
-  RunSpec spec;
-  spec.cores = cores;
-  expect_identical(engine, spec, engine.run_on_cores(m, cores), engine.run(m, spec));
-}
-
-TEST(RunSpec, ForcedHopsWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  for (int hops = 0; hops <= 3; ++hops) {
-    RunSpec spec;
-    spec.cores = {0};
-    spec.forced_hops = hops;
-    expect_identical(engine, spec, engine.run_single_core_at_hops(m, hops),
-                     engine.run(m, spec));
+  // Each dead block re-ships its CSR slice: rebased ptr, col and val.
+  const auto blocks = sparse::partition_rows_balanced_nnz(m, static_cast<int>(cores.size()));
+  bytes_t reshipped = 0;
+  for (int rank : spec.dead_ranks) {
+    const sparse::RowBlock& b = blocks[static_cast<std::size_t>(rank)];
+    reshipped += static_cast<bytes_t>(b.row_count() + 1) * sizeof(nnz_t) +
+                 static_cast<bytes_t>(b.nnz) * (sizeof(index_t) + sizeof(real_t));
   }
+  const auto dead = static_cast<int>(spec.dead_ranks.size());
+  EXPECT_EQ(degraded.dead_count, dead);
+  EXPECT_EQ(degraded.reshipped_bytes, reshipped);
+  EXPECT_DOUBLE_EQ(degraded.recovery_seconds,
+                   spec.detection_seconds * dead + static_cast<double>(reshipped) /
+                                                       engine.mc_bandwidth_bytes_per_second());
+  EXPECT_GT(degraded.recovery_seconds, spec.detection_seconds * dead);
 }
 
-TEST(RunSpec, FormatWrapperMatchesUnifiedRun) {
+TEST(RunSpec, DeadRanksFoldRecoveryIntoResult) {
   const auto m = test_matrix();
   const Engine engine;
-  for (const auto format : {StorageFormat::kCsr, StorageFormat::kEll, StorageFormat::kBcsr2,
-                            StorageFormat::kBcsr4, StorageFormat::kHyb}) {
+  {
     RunSpec spec;
     spec.ue_count = 8;
     spec.policy = chip::MappingPolicy::kDistanceReduction;
-    spec.format = format;
-    expect_identical(engine, spec,
-                     engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, format),
-                     engine.run(m, spec));
+    spec.dead_ranks = {1, 3};
+    spec.detection_seconds = 0.002;
+    expect_recovery_folded(engine, m, spec,
+                           chip::map_ues_to_cores(spec.policy, spec.ue_count));
   }
-}
-
-TEST(RunSpec, DegradedWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  const std::vector<int> dead = {1, 3};
-  RunSpec spec;
-  spec.ue_count = 8;
-  spec.policy = chip::MappingPolicy::kDistanceReduction;
-  spec.dead_ranks = dead;
-  spec.detection_seconds = 0.002;
-  const DegradedRunResult legacy =
-      engine.run_degraded(m, 8, chip::MappingPolicy::kDistanceReduction, dead, 0.002);
-  const RunResult unified = engine.run(m, spec);
-
-  // The unified result folds the degraded accounting into RunResult.
-  EXPECT_EQ(unified.dead_count, legacy.dead_count);
-  EXPECT_EQ(unified.reshipped_bytes, legacy.reshipped_bytes);
-  EXPECT_EQ(unified.recovery_seconds, legacy.recovery_seconds);
-  EXPECT_EQ(unified.seconds, legacy.seconds);
-  EXPECT_EQ(unified.gflops, legacy.gflops);
-  ASSERT_EQ(unified.cores.size(), legacy.result.cores.size());
-  for (std::size_t i = 0; i < unified.cores.size(); ++i) {
-    EXPECT_EQ(unified.cores[i].core, legacy.result.cores[i].core);
-    EXPECT_EQ(unified.cores[i].isolated_seconds, legacy.result.cores[i].isolated_seconds);
+  {
+    RunSpec spec;
+    spec.cores = {3, 12, 25, 40, 47};
+    spec.dead_ranks = {4, 1};
+    expect_recovery_folded(engine, m, spec, spec.cores);
   }
 }
 
